@@ -207,6 +207,8 @@ class NodePartition:
 
     def add_pseudo(self, nodes, stage: int) -> None:
         nodes = np.asarray(nodes, dtype=np.int64)
+        if np.unique(nodes).size != nodes.size:
+            raise ValueError("pseudo nodes must be distinct")
         if not set(nodes).issubset(set(self.unlabeled)):
             raise ValueError("pseudo nodes must come from the unlabeled pool")
         self.unlabeled = np.setdiff1d(self.unlabeled, nodes)

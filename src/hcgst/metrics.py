@@ -79,10 +79,11 @@ def cmd(x, y, cfg: CmdConfig = CmdConfig()) -> float:
     mx, ux = _moment_stats(x)
     my, uy = _moment_stats(y)
     total = np.linalg.norm(mx - my) / scale
+    uxk, uyk = ux, uy
     for k in range(2, cfg.max_order + 1):
-        ck_x = np.mean(ux**k, axis=0)
-        ck_y = np.mean(uy**k, axis=0)
-        total += np.linalg.norm(ck_x - ck_y) / scale**k
+        uxk = uxk * ux
+        uyk = uyk * uy
+        total += np.linalg.norm(np.mean(uxk, axis=0) - np.mean(uyk, axis=0)) / scale**k
     return float(total)
 
 
@@ -135,18 +136,18 @@ def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig()):
 
     # central moments; d c_k / d w_j = (u_j^k - c_k - k * c_{k-1} * u_j) / W
     ck_prev = np.zeros(x.shape[1])
-    uk = ux.copy()
+    uk, uyk = ux, uy
     for k in range(2, cfg.max_order + 1):
         uk = uk * ux
+        uyk = uyk * uy
         ck_x = p @ uk
-        ck_y = np.mean(uy**k, axis=0)
-        diff = ck_x - ck_y
+        diff = ck_x - np.mean(uyk, axis=0)
         nrm = np.linalg.norm(diff)
         value += nrm / scale**k
         if nrm > _NORM_FLOOR:
             v = diff / (nrm * scale**k * total_w)
             grad += (uk - ck_x) @ v - k * (ux * ck_prev) @ v
-        ck_prev = p @ uk  # c_k becomes next round's c_{k-1}
+        ck_prev = ck_x  # c_k becomes next round's c_{k-1}
     return float(value), grad
 
 

@@ -13,6 +13,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
@@ -122,45 +123,82 @@ def _cross_entropy_rows(logits_rows, y):
     return float(losses.mean()), grad_rows / len(y)
 
 
-def dual_loss_and_grads(params: ModelParams, view, features, main_idx, main_y,
-                        pseudo_idx, pseudo_y, lambda_dual: float, weight_decay: float):
+@dataclass(frozen=True)
+class TrainingRows:
+    """Constants of one training run.
+
+    The loss and the validation accuracy read only the rows
+    R = sorted(main ∪ leftover ∪ validation), so the second aggregation runs
+    on Â[R] alone; Â·X does not depend on the parameters and is computed once.
+    Positions index into R.
+    """
+
+    x1: np.ndarray          # (n, d) Â·X
+    a_rows: sp.csr_matrix   # (|R|, n) Â[R]
+    main_pos: np.ndarray
+    main_y: np.ndarray
+    left_pos: np.ndarray
+    left_y: np.ndarray
+    val_pos: np.ndarray     # empty without a validation set
+
+
+def training_rows(view, features, main_idx, main_y, left_idx, left_y,
+                  val_idx=None) -> TrainingRows:
+    """Build the :class:`TrainingRows` of one training run on ``view``."""
+    x = np.asarray(features, dtype=np.float64)
+    val_idx = np.empty(0, dtype=np.int64) if val_idx is None else np.asarray(val_idx, dtype=np.int64)
+    main_idx = np.asarray(main_idx, dtype=np.int64)
+    left_idx = np.asarray(left_idx, dtype=np.int64)
+    rows = np.unique(np.concatenate([main_idx, left_idx, val_idx]))
+    return TrainingRows(x1=view.norm @ x, a_rows=view.norm[rows],
+                        main_pos=np.searchsorted(rows, main_idx),
+                        main_y=np.asarray(main_y, dtype=np.int64),
+                        left_pos=np.searchsorted(rows, left_idx),
+                        left_y=np.asarray(left_y, dtype=np.int64),
+                        val_pos=np.searchsorted(rows, val_idx))
+
+
+def _extract_rows(params: ModelParams, rows: TrainingRows):
+    """First layer on all nodes, second aggregation and extractor output on R."""
+    pre1 = rows.x1 @ params.w1
+    act1 = np.maximum(pre1, 0.0)
+    x2 = rows.a_rows @ act1
+    return pre1, x2, x2 @ params.w2
+
+
+def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: float,
+                        weight_decay: float):
     """Training loss and parameter gradients.
 
     Loss = CE_main + lambda_dual * CE_pseudo + (wd/2) * (|w1|^2 + |w2|^2 + |w_main|^2).
     Weight decay deliberately skips the pseudo head so that lambda_dual = 0
-    leaves it untouched. Returns (loss, grads dict, main logits).
+    leaves it untouched. Returns (loss, grads dict, main logits of the rows R).
     """
-    x = np.asarray(features, dtype=np.float64)
-    a_hat = view.norm
-    x1 = a_hat @ x
-    pre1 = x1 @ params.w1
-    act1 = np.maximum(pre1, 0.0)
-    x2 = a_hat @ act1
-    h = x2 @ params.w2
+    pre1, x2, h = _extract_rows(params, rows)
     zm = h @ params.w_main
 
-    n, c = zm.shape
-    loss_main, d_rows = _cross_entropy_rows(zm[main_idx], main_y)
-    dzm = np.zeros((n, c))
-    dzm[main_idx] = d_rows
+    r, c = zm.shape
+    loss_main, d_rows = _cross_entropy_rows(zm[rows.main_pos], rows.main_y)
+    dzm = np.zeros((r, c))
+    dzm[rows.main_pos] = d_rows
 
     loss = loss_main
     d_wp = np.zeros_like(params.w_pseudo)
     dh = dzm @ params.w_main.T
-    if len(pseudo_idx):
+    if len(rows.left_pos):
         zp = h @ params.w_pseudo
-        loss_pseudo, d_rows_p = _cross_entropy_rows(zp[pseudo_idx], pseudo_y)
+        loss_pseudo, d_rows_p = _cross_entropy_rows(zp[rows.left_pos], rows.left_y)
         loss += lambda_dual * loss_pseudo
-        dzp = np.zeros((n, c))
-        dzp[pseudo_idx] = lambda_dual * d_rows_p
+        dzp = np.zeros((r, c))
+        dzp[rows.left_pos] = lambda_dual * d_rows_p
         d_wp = h.T @ dzp
         dh = dh + dzp @ params.w_pseudo.T
 
     d_wm = h.T @ dzm + weight_decay * params.w_main
     d_w2 = x2.T @ dh + weight_decay * params.w2
-    dact1 = a_hat @ (dh @ params.w2.T)
+    dact1 = rows.a_rows.T @ (dh @ params.w2.T)
     dpre1 = dact1 * (pre1 > 0)
-    d_w1 = x1.T @ dpre1 + weight_decay * params.w1
+    d_w1 = rows.x1.T @ dpre1 + weight_decay * params.w1
 
     loss += 0.5 * weight_decay * (np.sum(params.w1**2) + np.sum(params.w2**2) + np.sum(params.w_main**2))
     grads = {"w1": d_w1, "w2": d_w2, "w_main": d_wm, "w_pseudo": d_wp}
@@ -198,26 +236,23 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     if len(np.unique(all_train)) != all_train.size:
         raise ValueError("clean, consistent and leftover sets must be disjoint")
 
-    main_idx = np.concatenate([clean_idx, cons_idx])
-    main_y = np.concatenate([clean_y, cons_y])
-
-    x = np.asarray(graph.features, dtype=np.float64)
-    cur = params.copy()
-    state_m = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
-    state_v = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
-
     val_idx = val_y = None
     if validation is not None:
         val_idx, val_y = _check_label_sets("validation set", *validation, c=c)
+    rows = training_rows(view, graph.features, np.concatenate([clean_idx, cons_idx]),
+                         np.concatenate([clean_y, cons_y]), left_idx, left_y, val_idx)
+
+    cur = params.copy()
+    state_m = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
+    state_v = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
     best = None  # (acc, params copy)
 
     for epoch in range(cfg.epochs):
-        loss, grads, zm = dual_loss_and_grads(cur, view, x, main_idx, main_y,
-                                              left_idx, left_y, cfg.lambda_dual, cfg.weight_decay)
+        loss, grads, zm = dual_loss_and_grads(cur, rows, cfg.lambda_dual, cfg.weight_decay)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
         if val_idx is not None:
-            acc = float(np.mean(np.argmax(zm[val_idx], axis=1) == val_y))
+            acc = float(np.mean(np.argmax(zm[rows.val_pos], axis=1) == val_y))
             if best is None or acc >= best[0]:  # ties prefer the later, better-fitted epoch
                 best = (acc, cur.copy())
         t = epoch + 1
@@ -230,8 +265,8 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
             mats[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
 
     if val_idx is not None:
-        zm = forward(cur, view, x).logits
-        acc = float(np.mean(np.argmax(zm[val_idx], axis=1) == val_y))
+        zm = _extract_rows(cur, rows)[2] @ cur.w_main
+        acc = float(np.mean(np.argmax(zm[rows.val_pos], axis=1) == val_y))
         if best is None or acc >= best[0]:
             best = (acc, cur.copy())
         return best[1]
@@ -256,17 +291,11 @@ def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, view=None,
     else:
         y = np.random.default_rng(cfg.seed).integers(0, c, size=n)
     nodes = np.arange(n)
-    main_idx, main_y = nodes[0::2], y[0::2]
-    pseudo_idx, pseudo_y = nodes[1::2], y[1::2]
-    x = tiny_graph.features
-
-    _, grads, _ = dual_loss_and_grads(params, view, x, main_idx, main_y,
-                                      pseudo_idx, pseudo_y, cfg.lambda_dual, cfg.weight_decay)
+    rows = training_rows(view, tiny_graph.features, nodes[0::2], y[0::2], nodes[1::2], y[1::2])
+    _, grads, _ = dual_loss_and_grads(params, rows, cfg.lambda_dual, cfg.weight_decay)
 
     def loss_at(p):
-        val, _, _ = dual_loss_and_grads(p, view, x, main_idx, main_y,
-                                        pseudo_idx, pseudo_y, cfg.lambda_dual, cfg.weight_decay)
-        return val
+        return dual_loss_and_grads(p, rows, cfg.lambda_dual, cfg.weight_decay)[0]
 
     worst = 0.0
     for key, mat in params.matrices().items():

@@ -261,7 +261,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     est_h = np.zeros(graph.n)
 
     for s in range(1, knobs.stages + 1):
-        out = forward(params, view1, x)
         soft = out.soft
         conf = soft.max(axis=1)
 
@@ -326,15 +325,15 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         except RuntimeError as err:
             raise RuntimeError(f"training diverged at stage {s}: {err}") from err
 
-        new_logits = forward(params, view1, x).logits
-        preds = np.argmax(new_logits, axis=1)
+        out = forward(params, view1, x)  # also the next stage's selection pass
+        preds = np.argmax(out.logits, axis=1)
         val_acc = _accuracy(preds, y_true, part.validation)
         test_acc = _accuracy(preds, y_true, test_set)
         stage_reports.append(_stage_report(s, selected, new_labels,
                                            mixed.from_multi_hop[selected], conf[selected],
                                            cands.size, int(mixed.from_multi_hop[selected].sum()),
                                            part, est_h, true_profile, global_true,
-                                           new_logits, n_bins, val_acc, test_acc))
+                                           out.logits, n_bins, val_acc, test_acc))
 
         if not have_val or val_acc > best_val:
             best_val, best_stage, best_params, best_preds = val_acc, s, params, preds

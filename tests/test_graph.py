@@ -142,6 +142,13 @@ def test_partition_pseudo_grows_from_unlabeled():
         part.add_pseudo([2], stage=3)  # already pseudo
 
 
+def test_partition_rejects_duplicate_pseudo_nodes():
+    part = make_partition(10, labeled=[0], validation=[1])
+    with pytest.raises(ValueError, match="distinct"):
+        part.add_pseudo([5, 5], stage=1)
+    assert part.pseudo.size == 0 and 5 in part.unlabeled
+
+
 def test_graph_dir_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 8, size=(14, 2))]

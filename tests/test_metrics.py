@@ -152,3 +152,38 @@ def test_kl_grad_matches_finite_differences(seed):
     _, grad = kl_divergence_with_grad(p, q)
     fd = _fd_grad(lambda pp: kl_divergence(pp, q), p)
     assert _rel_err(grad, fd) <= 1e-4
+
+
+def _cmd_power_reference(x, w, y, max_order):
+    """Weighted CMD and its weight gradient, with every moment from np.power."""
+    total_w = w.sum()
+    p = w / total_w
+    scale = max(x.max(), y.max()) - min(x.min(), y.min())
+    ux = x - p @ x
+    uy = y - y.mean(axis=0)
+    diff = p @ x - y.mean(axis=0)
+    value = np.linalg.norm(diff) / scale
+    grad = ux @ (diff / np.linalg.norm(diff)) / (scale * total_w)
+    c_prev = np.zeros(x.shape[1])
+    for k in range(2, max_order + 1):
+        c_k = p @ np.power(ux, k)
+        diff = c_k - np.mean(np.power(uy, k), axis=0)
+        value += np.linalg.norm(diff) / scale**k
+        v = diff / (np.linalg.norm(diff) * scale**k * total_w)
+        grad += (np.power(ux, k) - c_k) @ v - k * (ux * c_prev) @ v
+        c_prev = c_k
+    return value, grad
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_cmd_moments_match_power_reference(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((300, 4)) + 0.3
+    y = 1.5 * rng.standard_normal((500, 4))
+    w = rng.uniform(0.05, 1.0, size=300)
+    cfg = CmdConfig(max_order=5)
+    ref_value, ref_grad = _cmd_power_reference(x, w, y, 5)
+    value, grad = cmd_weighted_with_grad(x, w, y, cfg)
+    assert value == pytest.approx(ref_value, rel=1e-12)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    assert cmd(x, y, cfg) == pytest.approx(_cmd_power_reference(x, np.ones(300), y, 5)[0], rel=1e-12)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcgst.graph import build_graph, k_hop_adjacency
 from hcgst.model import (TrainConfig, dual_loss_and_grads, forward,
                          gradient_check, init_params, load_params, predict,
-                         save_params, soft_labels, softmax_rows, train_dual)
+                         save_params, soft_labels, softmax_rows, train_dual,
+                         training_rows)
 
 EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
@@ -145,10 +148,10 @@ def test_lambda_zero_matches_single_head_gradients():
     params = init_params(3, 5, 4, seed=4)
     main_idx = np.arange(0, 20, 2)
     pseudo_idx = np.arange(1, 20, 2)
-    _, dual, _ = dual_loss_and_grads(params, view, g.features, main_idx, g.labels[main_idx],
-                                     pseudo_idx, g.labels[pseudo_idx], 0.0, 5e-4)
-    _, single, _ = dual_loss_and_grads(params, view, g.features, main_idx, g.labels[main_idx],
-                                       EMPTY[0], EMPTY[1], 0.0, 5e-4)
+    _, dual, _ = dual_loss_and_grads(params, training_rows(view, g.features, main_idx, g.labels[main_idx],
+                                                           pseudo_idx, g.labels[pseudo_idx]), 0.0, 5e-4)
+    _, single, _ = dual_loss_and_grads(params, training_rows(view, g.features, main_idx, g.labels[main_idx],
+                                                             EMPTY[0], EMPTY[1]), 0.0, 5e-4)
     for key in ("w1", "w2", "w_main"):
         assert np.allclose(dual[key], single[key], atol=1e-15)
     assert np.all(dual["w_pseudo"] == 0.0)
@@ -159,9 +162,9 @@ def test_empty_leftover_reduces_to_main_term():
     view = k_hop_adjacency(g, 1)
     params = init_params(3, 5, 4, seed=4)
     idx = np.arange(10)
-    loss, _, zm = dual_loss_and_grads(params, view, g.features, idx, g.labels[idx],
-                                      EMPTY[0], EMPTY[1], 0.09, 0.0)
-    rows = zm[idx] - zm[idx].max(axis=1, keepdims=True)
+    tr = training_rows(view, g.features, idx, g.labels[idx], EMPTY[0], EMPTY[1])
+    loss, _, zm = dual_loss_and_grads(params, tr, 0.09, 0.0)
+    rows = zm[tr.main_pos] - zm[tr.main_pos].max(axis=1, keepdims=True)
     ce = np.mean(np.log(np.exp(rows).sum(axis=1)) - rows[np.arange(10), g.labels[idx]])
     assert loss == pytest.approx(ce, abs=1e-12)
 
@@ -174,8 +177,8 @@ def test_training_loss_decreases_on_two_blob_graph():
     def loss_after(epochs):
         cfg = TrainConfig(epochs=epochs, learning_rate=0.01, weight_decay=0.0, seed=6)
         trained = train_dual(init_params(3, 8, 4, 6), g, view, (idx, g.labels), EMPTY, EMPTY, cfg)
-        val, _, _ = dual_loss_and_grads(trained, view, g.features, idx, g.labels,
-                                        EMPTY[0], EMPTY[1], 0.0, 0.0)
+        val, _, _ = dual_loss_and_grads(trained, training_rows(view, g.features, idx, g.labels,
+                                                               EMPTY[0], EMPTY[1]), 0.0, 0.0)
         return val
 
     losses = [loss_after(e) for e in range(11)]
@@ -266,6 +269,71 @@ def test_best_epoch_selection_uses_validation():
     assert acc_best >= acc_final
 
 
+def _reference_dual_loss_and_grads(params, view, x, main_idx, main_y, left_idx, left_y, lam, wd):
+    """Independent full-graph loss, gradients and main logits: a dense Â, every row aggregated."""
+    a_hat = view.norm.toarray()
+    x1 = a_hat @ x
+    pre1 = x1 @ params.w1
+    x2 = a_hat @ np.maximum(pre1, 0.0)
+    h = x2 @ params.w2
+    zm, zp = h @ params.w_main, h @ params.w_pseudo
+
+    def ce(z, idx, y):
+        if len(idx) == 0:
+            return 0.0, np.zeros_like(z)
+        sm = softmax_rows(z[idx])
+        loss = -np.mean(np.log(sm[np.arange(len(y)), y]))
+        sm[np.arange(len(y)), y] -= 1.0
+        dz = np.zeros_like(z)
+        dz[idx] = sm / len(y)
+        return loss, dz
+
+    loss_m, dzm = ce(zm, main_idx, main_y)
+    loss_p, dzp = ce(zp, left_idx, left_y)
+    dzp = lam * dzp
+    dh = dzm @ params.w_main.T + dzp @ params.w_pseudo.T
+    dpre1 = (a_hat.T @ (dh @ params.w2.T)) * (pre1 > 0)
+    grads = {"w1": x1.T @ dpre1 + wd * params.w1, "w2": x2.T @ dh + wd * params.w2,
+             "w_main": h.T @ dzm + wd * params.w_main, "w_pseudo": h.T @ dzp}
+    loss = loss_m + lam * loss_p + 0.5 * wd * sum(np.sum(params.matrices()[k] ** 2)
+                                                  for k in ("w1", "w2", "w_main"))
+    return loss, grads, zm
+
+
+@st.composite
+def _training_problems(draw):
+    n = draw(st.integers(3, 12))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    d, hidden, c = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(2, 4))
+    order = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    n_main = draw(st.integers(1, n))
+    n_left = draw(st.integers(0, n - n_main))
+    n_val = draw(st.integers(0, n - n_main - n_left))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = build_graph(edges, rng.standard_normal((n, d)))
+    y = rng.integers(0, c, size=n)
+    main = order[:n_main]
+    left = order[n_main:n_main + n_left]
+    val = order[n_main + n_left:n_main + n_left + n_val]
+    return g, init_params(d, hidden, c, int(rng.integers(1000))), y, main, left, val
+
+
+@settings(max_examples=80, deadline=None)
+@given(_training_problems(), st.sampled_from([0.0, 0.09, 1.0]))
+def test_row_restricted_loss_matches_full_graph_reference(problem, lam):
+    g, params, y, main, left, val = problem
+    view = k_hop_adjacency(g, 1)
+    tr = training_rows(view, g.features, main, y[main], left, y[left], val)
+    loss, grads, zm = dual_loss_and_grads(params, tr, lam, 5e-4)
+    ref_loss, ref_grads, ref_zm = _reference_dual_loss_and_grads(
+        params, view, g.features, main, y[main], left, y[left], lam, 5e-4)
+    assert loss == pytest.approx(ref_loss, rel=1e-12)
+    for key, ref in ref_grads.items():
+        assert np.max(np.abs(grads[key] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for pos, idx in ((tr.main_pos, main), (tr.left_pos, left), (tr.val_pos, val)):
+        assert np.max(np.abs(zm[pos] - ref_zm[idx]), initial=0.0) <= 1e-12 * np.max(np.abs(ref_zm))
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.09, 1.0])
 def test_gradient_check_tiny_instances(lam):
     g = _graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], n=5, d=3, seed=8,
@@ -280,9 +348,9 @@ def test_gradient_finite_at_zero_params():
     params = init_params(3, 4, 2, seed=0)
     for mat in params.matrices().values():
         mat[:] = 0.0
-    _, grads, _ = dual_loss_and_grads(params, k_hop_adjacency(g, 1), g.features,
-                                      np.array([0, 2]), np.array([0, 0]),
-                                      np.array([1]), np.array([1]), 0.09, 5e-4)
+    tr = training_rows(k_hop_adjacency(g, 1), g.features, np.array([0, 2]), np.array([0, 0]),
+                       np.array([1]), np.array([1]))
+    _, grads, _ = dual_loss_and_grads(params, tr, 0.09, 5e-4)
     for g_mat in grads.values():
         assert np.all(np.isfinite(g_mat))
 
