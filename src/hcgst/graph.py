@@ -73,18 +73,26 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     else:
         c = int(n_classes) if n_classes is not None else 0
 
-    neighbors = _neighbor_lists(n, edges)
-    degrees = np.array([len(nb) for nb in neighbors], dtype=np.int64)
+    neighbors, degrees = _neighbor_lists(n, edges)
     return Graph(n=n, edges=edges, features=features, labels=labels, c=c, d=d,
                  degrees=degrees, neighbors=neighbors)
 
 
-def _neighbor_lists(n, edges) -> tuple:
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return tuple(np.array(sorted(nb), dtype=np.int64) for nb in adj)
+def _neighbor_lists(n, edges) -> tuple[tuple, np.ndarray]:
+    """Per-node sorted neighbor arrays (both directions of every pair) and degrees."""
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    order = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return _split_rows(indptr, dst[order]), np.diff(indptr)
+
+
+def _split_rows(indptr, indices) -> tuple:
+    """CSR rows as a tuple of int64 arrays; ``()`` for zero rows."""
+    if indptr.size <= 1:
+        return ()
+    return tuple(np.split(indices.astype(np.int64, copy=False), indptr[1:-1]))
 
 
 @dataclass(frozen=True)
@@ -146,11 +154,11 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
         power.eliminate_zeros()
         power.data = np.ones_like(power.data)
 
-    neighbors = []
-    indptr, indices = power.indptr, power.indices
-    for i in range(graph.n):
-        neighbors.append(np.sort(indices[indptr[i]:indptr[i + 1]]).astype(np.int64))
-    return AdjacencyView(hop=k, n=graph.n, neighbors=tuple(neighbors), norm=_sym_normalize(power))
+    # Normalise before sorting: the stored index order of ``norm`` sets the
+    # summation order of every product with it.
+    norm = _sym_normalize(power)
+    power.sort_indices()
+    return AdjacencyView(hop=k, n=graph.n, neighbors=_split_rows(power.indptr, power.indices), norm=norm)
 
 
 def true_node_homophily(graph: Graph, node: int) -> float:
@@ -167,11 +175,11 @@ def true_homophily_profile(graph: Graph) -> np.ndarray:
     """Per-node homophily ratios over the whole graph (isolated nodes contribute 0)."""
     if graph.labels is None:
         raise ValueError("graph has no labels; homophily profile is undefined")
+    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
+    same = graph.labels[e0] == graph.labels[e1]
+    hits = np.bincount(np.concatenate([e0[same], e1[same]]), minlength=graph.n)
     out = np.zeros(graph.n, dtype=np.float64)
-    for v in range(graph.n):
-        nb = graph.neighbors[v]
-        if nb.size:
-            out[v] = np.mean(graph.labels[nb] == graph.labels[v])
+    np.divide(hits, graph.degrees, out=out, where=graph.degrees > 0)
     return out
 
 
@@ -232,20 +240,15 @@ def make_partition(n: int, labeled, validation) -> NodePartition:
 def save_graph_dir(graph: Graph, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    # Plain joins write what csv.writer would: no field needs quoting.
     with open(path / "edges.csv", "w", newline="\n") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["src", "dst"])
-        for a, b in graph.edges:
-            w.writerow([int(a), int(b)])
+        f.write("src,dst\n")
+        f.writelines(f"{a},{b}\n" for a, b in graph.edges.tolist())
     with open(path / "features.csv", "w", newline="\n") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for row in graph.features:
-            w.writerow([repr(float(x)) for x in row])
+        f.writelines(",".join(map(repr, row)) + "\n" for row in graph.features.tolist())
     if graph.labels is not None:
         with open(path / "labels.csv", "w", newline="\n") as f:
-            w = csv.writer(f, lineterminator="\n")
-            for y in graph.labels:
-                w.writerow([int(y)])
+            f.writelines(f"{y}\n" for y in graph.labels.tolist())
 
 
 def load_graph_dir(path) -> Graph:

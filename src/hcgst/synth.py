@@ -64,19 +64,20 @@ def generate_graph(cfg: SynthConfig) -> Graph:
     target_h = (node_bin + rng.random(n)) / n_bins
 
     by_class = [np.nonzero(labels == k)[0] for k in range(c)]
-    same_w = [target_h[idx] + 1e-3 for idx in by_class]
-    cross_w = [(1.0 - target_h[idx]) + 1e-3 for idx in by_class]
+    same_cdf = [_partner_cdf(target_h[idx] + 1e-3) for idx in by_class]
+    cross_cdf = [_partner_cdf((1.0 - target_h[idx]) + 1e-3) for idx in by_class]
 
     budget = int(round(n * cfg.mean_degree / 2))
     seen = set()
     edges = []
+    label_of, target_of = labels.tolist(), target_h.tolist()
     for i in range(budget):
         v = i % n
-        k = labels[v]
-        want_same = c == 1 or rng.random() < target_h[v]
+        k = label_of[v]
+        want_same = c == 1 or rng.random() < target_of[v]
         for _ in range(_EDGE_RETRIES):
             if want_same:
-                pool, w = by_class[k], same_w[k]
+                pool, cdf = by_class[k], same_cdf[k]
                 if pool.size <= 1:
                     break
             else:
@@ -86,13 +87,13 @@ def generate_graph(cfg: SynthConfig) -> Graph:
                 else:
                     j = int(rng.integers(0, c - 1))
                     j = j if j < k else j + 1
-                pool, w = by_class[j], cross_w[j]
+                pool, cdf = by_class[j], cross_cdf[j]
                 if pool.size == 0:
                     continue
-            partner = int(rng.choice(pool, p=w / w.sum()))
+            partner = int(pool[cdf.searchsorted(rng.random(), side="right")])
             if partner == v:
                 continue
-            key = (min(v, partner), max(v, partner))
+            key = (v, partner) if v < partner else (partner, v)
             if key not in seen:
                 seen.add(key)
                 edges.append(key)
@@ -103,6 +104,21 @@ def generate_graph(cfg: SynthConfig) -> Graph:
     means *= cfg.separation
     features = means[labels] + rng.standard_normal((n, cfg.feature_dim))
     return build_graph(edges, features, labels, n_classes=c)
+
+
+def _partner_cdf(weights: np.ndarray) -> np.ndarray | None:
+    """Cumulative table that turns one ``rng.random()`` draw into a weighted pick.
+
+    The arithmetic is that of ``Generator.choice(pool, p=weights / weights.sum())``
+    with one draw, so ``pool[cdf.searchsorted(rng.random(), side="right")]``
+    consumes the same double and returns the same partner. Empty pools get no
+    table: the wiring loop never draws from them.
+    """
+    if weights.size == 0:
+        return None
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf
 
 
 def _largest_remainder(fractions: np.ndarray, total: int) -> np.ndarray:

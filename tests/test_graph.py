@@ -1,5 +1,10 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcgst.graph import (build_graph, graph_homophily, k_hop_adjacency, load_graph_dir,
                          make_partition, save_graph_dir, true_homophily_profile,
@@ -26,6 +31,49 @@ def test_build_empty_edge_list():
 def test_build_triangle_degrees():
     g = _graph([(0, 1), (1, 2), (0, 2)], n=3)
     assert g.degrees.tolist() == [2, 2, 2]
+
+
+def _reference_neighbor_lists(n, edges):
+    # the per-edge append loop the vectorised build replaced
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return [np.array(sorted(nb), dtype=np.int64) for nb in adj]
+
+
+@st.composite
+def _edge_lists(draw):
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    # duplicates, reversed pairs and self-loops all occur; high ids stay isolated
+    return n, draw(st.lists(st.tuples(node, node), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_lists())
+def test_neighbor_lists_match_append_loop(case):
+    n, pairs = case
+    g = _graph(pairs, n=n)
+    ref = _reference_neighbor_lists(n, g.edges.tolist())
+    assert isinstance(g.neighbors, tuple) and len(g.neighbors) == n
+    for got, want in zip(g.neighbors, ref):
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+    assert g.degrees.dtype == np.int64
+    assert g.degrees.tolist() == [len(nb) for nb in ref]
+    adj = np.zeros((n, n), dtype=np.int64)
+    for v, nb in enumerate(ref):
+        adj[v, nb] = 1
+    two_hop = (adj @ adj > 0) & ~np.eye(n, dtype=bool)
+    for k, dense in ((1, adj), (2, two_hop)):
+        view = k_hop_adjacency(g, k)
+        assert len(view.neighbors) == n
+        for v, nb in enumerate(view.neighbors):
+            assert nb.dtype == np.int64
+            assert nb.tolist() == np.nonzero(dense[v])[0].tolist()
 
 
 def test_build_rejects_bad_endpoint_with_index():
@@ -126,6 +174,18 @@ def test_homophily_invariant_under_label_permutation():
     assert np.allclose(true_homophily_profile(g), true_homophily_profile(g2))
 
 
+@settings(max_examples=100, deadline=None)
+@given(_edge_lists(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_homophily_profile_equals_per_node_ratio_exactly(case, c, seed):
+    n, pairs = case
+    labels = np.random.default_rng(seed).integers(0, c, size=n)
+    g = _graph(pairs, n=n, labels=labels)
+    prof = true_homophily_profile(g)
+    assert prof.dtype == np.float64 and prof.shape == (n,)
+    for v in range(n):
+        assert prof[v] == true_node_homophily(g, v)
+
+
 def test_partition_disjointness_enforced():
     with pytest.raises(ValueError, match="disjoint"):
         make_partition(5, labeled=[0, 1], validation=[1])
@@ -178,3 +238,34 @@ def test_load_rejects_missing_header(tmp_path):
     (d / "features.csv").write_text("0.0\n1.0\n")
     with pytest.raises(ValueError, match="header"):
         load_graph_dir(d)
+
+
+def _csv_writer_reference(graph, path):
+    # the csv.writer format save_graph_dir has always written
+    path.mkdir(parents=True)
+    with open(path / "edges.csv", "w", newline="\n") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(["src", "dst"])
+        for a, b in graph.edges:
+            w.writerow([int(a), int(b)])
+    with open(path / "features.csv", "w", newline="\n") as f:
+        w = csv.writer(f, lineterminator="\n")
+        for row in graph.features:
+            w.writerow([repr(float(x)) for x in row])
+    with open(path / "labels.csv", "w", newline="\n") as f:
+        w = csv.writer(f, lineterminator="\n")
+        for y in graph.labels:
+            w.writerow([int(y)])
+
+
+def test_save_graph_dir_bytes_match_csv_writer(tmp_path):
+    awkward = np.array([-0.0, 1e-300, 1.0, 0.1 + 0.2, -5e-324, 1.7976931348623157e308,
+                        123456789.125, -2.5e-7, 0.0, 1 / 3, 1e16, -1e22,
+                        np.inf, -np.inf, np.nan, 2.0**-1074])
+    g = build_graph([(0, 1), (2, 3), (1, 3)], awkward.reshape(4, 4), [0, 1, 2, 1])
+    big_ids = dataclasses.replace(g, edges=np.array([[0, 2**31 + 3], [2**40, 2**62]], dtype=np.int64))
+    for i, graph in enumerate((g, big_ids)):
+        save_graph_dir(graph, tmp_path / f"new{i}")
+        _csv_writer_reference(graph, tmp_path / f"ref{i}")
+        for name in ("edges.csv", "features.csv", "labels.csv"):
+            assert (tmp_path / f"new{i}" / name).read_bytes() == (tmp_path / f"ref{i}" / name).read_bytes()

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
-from hcgst.graph import graph_homophily, true_homophily_profile
+from hcgst.graph import build_graph, graph_homophily, true_homophily_profile
 from hcgst.homophily import bin_distribution
 from hcgst.metrics import kl_divergence
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
 
 BROAD = np.array([1.5, 1.5, 1.25, 1.25, 1.0, 1.0, 0.75, 0.75, 0.5, 0.5])
+ACCEPTANCE_FIXTURE = SynthConfig(n=500, classes=4, feature_dim=16, mean_degree=8,
+                                 target_histogram=np.array([2, 2, 1.5, 1.5, 1, 1, 0.7, 0.7, 0.5, 0.5]),
+                                 separation=1.2, cross_structure=0.85, seed=7)
 
 
 def _broad_graph(seed=7, n=300):
@@ -120,3 +123,70 @@ def test_representative_mode_closest_to_global():
             kls[mode] = kl_divergence(bin_distribution(prof[nodes], 10), global_dist)
         wins += kls["representative"] <= min(kls["homophily_biased"], kls["heterophily_biased"])
     assert wins >= 9
+
+
+def _reference_generate(cfg):
+    """The wiring loop as first written: one ``rng.choice(pool, p=...)`` per partner draw."""
+    n, c = cfg.n, cfg.classes
+    rng = np.random.default_rng(cfg.seed)
+    labels = rng.integers(0, c, size=n)
+    n_bins = cfg.target_histogram.shape[0]
+    node_bin = rng.choice(n_bins, size=n, p=cfg.target_histogram / cfg.target_histogram.sum())
+    target_h = (node_bin + rng.random(n)) / n_bins
+    by_class = [np.nonzero(labels == k)[0] for k in range(c)]
+    same_w = [target_h[idx] + 1e-3 for idx in by_class]
+    cross_w = [(1.0 - target_h[idx]) + 1e-3 for idx in by_class]
+    seen, edges = set(), []
+    for i in range(int(round(n * cfg.mean_degree / 2))):
+        v = i % n
+        k = labels[v]
+        want_same = c == 1 or rng.random() < target_h[v]
+        for _ in range(30):
+            if want_same:
+                pool, w = by_class[k], same_w[k]
+                if pool.size <= 1:
+                    break
+            else:
+                paired = k ^ 1
+                if paired < c and rng.random() < cfg.cross_structure:
+                    j = paired
+                else:
+                    j = int(rng.integers(0, c - 1))
+                    j = j if j < k else j + 1
+                pool, w = by_class[j], cross_w[j]
+                if pool.size == 0:
+                    continue
+            partner = int(rng.choice(pool, p=w / w.sum()))
+            if partner == v:
+                continue
+            key = (min(v, partner), max(v, partner))
+            if key not in seen:
+                seen.add(key)
+                edges.append(key)
+                break
+    means = rng.standard_normal((c, cfg.feature_dim))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    means *= cfg.separation
+    features = means[labels] + rng.standard_normal((n, cfg.feature_dim))
+    return build_graph(edges, features, labels, n_classes=c)
+
+
+EXACTNESS_CONFIGS = (
+    [SynthConfig(n=5, classes=4, mean_degree=2, seed=s) for s in range(6)]  # empty class pools
+    + [SynthConfig(n=60, classes=1, mean_degree=4, seed=1),
+       SynthConfig(n=60, classes=3, mean_degree=4, cross_structure=1.0, seed=2),
+       SynthConfig(n=60, classes=5, mean_degree=4, cross_structure=0.0, seed=3),
+       SynthConfig(n=8, classes=7, mean_degree=3, seed=4),
+       ACCEPTANCE_FIXTURE,
+       SynthConfig(n=2000, seed=9)]
+)
+
+
+@pytest.mark.parametrize("cfg", EXACTNESS_CONFIGS,
+                         ids=[f"n{c.n}-c{c.classes}-x{c.cross_structure}-s{c.seed}" for c in EXACTNESS_CONFIGS])
+def test_generation_matches_per_draw_choice_reference(cfg):
+    g = generate_graph(cfg)
+    ref = _reference_generate(cfg)
+    assert np.array_equal(g.edges, ref.edges)
+    assert np.array_equal(g.labels, ref.labels)
+    assert np.array_equal(g.features, ref.features)
