@@ -20,7 +20,7 @@ import numpy as np
 
 from .graph import graph_homophily, load_graph_dir, make_partition, save_graph_dir
 from .model import TrainConfig
-from .orchestrator import RunConfig, VARIANTS, bin_csv_rows, run_variant, stage_csv_rows
+from .orchestrator import RunConfig, VARIANTS, bin_csv_rows, run_self_training, stage_csv_rows
 from .synth import BIAS_MODES, SynthConfig, generate_graph, sample_training_set
 
 SWEEP_GRIDS = {
@@ -114,7 +114,7 @@ def _single_run(job):
     graph, opts, cfg = job
     partition = build_partition(graph, opts["label_rate"], opts["bias_mode"],
                                 cfg.n_bins, cfg.seed, opts["val_fraction"])
-    return run_variant(graph, partition, cfg)
+    return run_self_training(graph, partition, cfg)
 
 
 def _execute_runs(graph, opts, configs):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,12 +25,15 @@ class Graph:
     labels: np.ndarray | None       # (n,) int64 or None
     c: int
     d: int
-    degrees: np.ndarray = field(repr=False)
-    neighbors: tuple = field(repr=False)  # per-node sorted int64 arrays
+    adj: sp.csr_matrix = field(repr=False)  # binary, both directions, sorted indices
 
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.adj.indptr).astype(np.int64)
 
     def has_labels(self) -> bool:
         return self.labels is not None
@@ -49,7 +53,7 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
         raise ValueError("features must be a 2-d matrix (n rows, d columns)")
     n, d = features.shape
 
-    pairs = np.asarray(list(edge_pairs), dtype=np.int64).reshape(-1, 2)
+    pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
     bad = np.nonzero((pairs < 0) | (pairs >= n))[0]
     if bad.size:
         i = int(bad[0])
@@ -73,57 +77,32 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     else:
         c = int(n_classes) if n_classes is not None else 0
 
-    neighbors, degrees = _neighbor_lists(n, edges)
-    return Graph(n=n, edges=edges, features=features, labels=labels, c=c, d=d,
-                 degrees=degrees, neighbors=neighbors)
-
-
-def _neighbor_lists(n, edges) -> tuple[tuple, np.ndarray]:
-    """Per-node sorted neighbor arrays (both directions of every pair) and degrees."""
     src = np.concatenate([edges[:, 0], edges[:, 1]])
     dst = np.concatenate([edges[:, 1], edges[:, 0]])
     order = np.lexsort((dst, src))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return _split_rows(indptr, dst[order]), np.diff(indptr)
-
-
-def _split_rows(indptr, indices) -> tuple:
-    """CSR rows as a tuple of int64 arrays; ``()`` for zero rows."""
-    if indptr.size <= 1:
-        return ()
-    return tuple(np.split(indices.astype(np.int64, copy=False), indptr[1:-1]))
+    adj = sp.csr_matrix((np.ones(src.size), dst[order], indptr), shape=(n, n))
+    return Graph(n=n, edges=edges, features=features, labels=labels, c=c, d=d, adj=adj)
 
 
 @dataclass(frozen=True)
 class AdjacencyView:
     """Neighbor structure at a fixed hop count.
 
-    ``neighbors`` is the raw 0/1 structure (no self-connections), used for
-    homophily computations. ``norm`` is the symmetric-degree-normalized
-    matrix with self-loops added, used for message passing.
+    ``adj`` is the raw 0/1 structure (no self-connections, sorted indices),
+    used for homophily computations. ``norm`` is the
+    symmetric-degree-normalized matrix with self-loops added, used for
+    message passing.
     """
 
     hop: int
     n: int
-    neighbors: tuple = field(repr=False)
+    adj: sp.csr_matrix = field(repr=False)
     norm: sp.csr_matrix = field(repr=False)
 
     def binary_matrix(self) -> sp.csr_matrix:
-        rows, cols = [], []
-        for i, nb in enumerate(self.neighbors):
-            rows.extend([i] * len(nb))
-            cols.extend(nb.tolist())
-        data = np.ones(len(rows), dtype=np.float64)
-        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
-
-
-def _binary_adjacency(graph: Graph) -> sp.csr_matrix:
-    m = graph.edges.shape[0]
-    rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]]) if m else np.empty(0, dtype=np.int64)
-    cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]]) if m else np.empty(0, dtype=np.int64)
-    data = np.ones(2 * m, dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
+        return self.adj
 
 
 def _sym_normalize(binary: sp.csr_matrix) -> sp.csr_matrix:
@@ -138,17 +117,14 @@ def _sym_normalize(binary: sp.csr_matrix) -> sp.csr_matrix:
 def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
     """Binarized k-th adjacency power with zeroed diagonal.
 
-    k=1 returns the raw adjacency structure exactly.
+    k=1 returns the graph's own adjacency (``graph.adj``).
     """
     if k < 1:
         raise ValueError(f"hop count must be >= 1, got {k}")
-    binary = _binary_adjacency(graph)
-    if k == 1:
-        power = binary
-    else:
-        power = binary
+    power = graph.adj
+    if k > 1:
         for _ in range(k - 1):
-            power = power @ binary
+            power = power @ graph.adj
         power = power.tocsr()
         power.setdiag(0)
         power.eliminate_zeros()
@@ -158,14 +134,14 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
     # summation order of every product with it.
     norm = _sym_normalize(power)
     power.sort_indices()
-    return AdjacencyView(hop=k, n=graph.n, neighbors=_split_rows(power.indptr, power.indices), norm=norm)
+    return AdjacencyView(hop=k, n=graph.n, adj=power, norm=norm)
 
 
 def true_node_homophily(graph: Graph, node: int) -> float:
     """Fraction of a node's 1-hop neighbors sharing its label; 0 for isolated nodes."""
     if graph.labels is None:
         raise ValueError("graph has no labels; node homophily is undefined")
-    nb = graph.neighbors[node]
+    nb = graph.adj.indices[graph.adj.indptr[node]:graph.adj.indptr[node + 1]]
     if nb.size == 0:
         return 0.0
     return float(np.mean(graph.labels[nb] == graph.labels[node]))
@@ -208,16 +184,17 @@ class NodePartition:
         self.unlabeled = np.asarray(self.unlabeled, dtype=np.int64)
         self.pseudo = np.asarray(self.pseudo, dtype=np.int64)
         self.pseudo_stage = np.asarray(self.pseudo_stage, dtype=np.int64)
-        sets = [set(self.labeled), set(self.validation), set(self.unlabeled), set(self.pseudo)]
-        total = sum(len(s) for s in sets)
-        if len(set().union(*sets)) != total:
+        # a node may repeat within one set, never across two
+        members = np.concatenate([np.unique(s) for s in (self.labeled, self.validation,
+                                                          self.unlabeled, self.pseudo)])
+        if np.unique(members).size != members.size:
             raise ValueError("labeled/validation/unlabeled/pseudo sets must be pairwise disjoint")
 
     def add_pseudo(self, nodes, stage: int) -> None:
         nodes = np.asarray(nodes, dtype=np.int64)
         if np.unique(nodes).size != nodes.size:
             raise ValueError("pseudo nodes must be distinct")
-        if not set(nodes).issubset(set(self.unlabeled)):
+        if not np.isin(nodes, self.unlabeled).all():
             raise ValueError("pseudo nodes must come from the unlabeled pool")
         self.unlabeled = np.setdiff1d(self.unlabeled, nodes)
         self.pseudo = np.concatenate([self.pseudo, nodes])
@@ -259,16 +236,15 @@ def load_graph_dir(path) -> Graph:
         raise ValueError(f"missing features.csv under {path}")
     features = np.loadtxt(feat_file, delimiter=",", dtype=np.float64, ndmin=2)
 
-    edges = []
-    with open(path / "edges.csv", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["src", "dst"]:
-            raise ValueError("edges.csv must start with header 'src,dst'")
-        for row in reader:
-            if not row:
-                continue
-            edges.append((int(row[0]), int(row[1])))
+    edge_file = path / "edges.csv"
+    with open(edge_file, newline="") as f:
+        header = next(csv.reader(f), None)
+    if header is None or [h.strip() for h in header] != ["src", "dst"]:
+        raise ValueError("edges.csv must start with header 'src,dst'")
+    with warnings.catch_warnings():  # a header-only file is an edgeless graph
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        edges = np.loadtxt(edge_file, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2,
+                           dtype=np.int64)
 
     labels = None
     lab_file = path / "labels.csv"

@@ -86,7 +86,7 @@ def estimate_node_homophily(soft_labels, graph: Graph, node: int) -> float:
     Non-negative vectors keep the result in [0, 1]; isolated nodes are 0 by
     convention.
     """
-    nb = graph.neighbors[node]
+    nb = graph.adj.indices[graph.adj.indptr[node]:graph.adj.indptr[node + 1]]
     if nb.size == 0:
         return 0.0
     unit = _normalized_rows(soft_labels)
@@ -111,31 +111,15 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
         soft[nodes] = 0.0
         soft[nodes, labs] = 1.0
     unit = _normalized_rows(soft)
+    indptr, indices, degrees = graph.adj.indptr, graph.adj.indices, graph.degrees
     out = np.zeros(graph.n, dtype=np.float64)
-    for v in range(graph.n):
-        nb = graph.neighbors[v]
-        if nb.size:
-            out[v] = np.clip(np.mean(unit[nb] @ unit[v]), 0.0, 1.0)
+    # Degree buckets keep the per-node gemv + pairwise mean bit-exact; edge-list reduceat/einsum round differently.
+    for d in np.unique(degrees[degrees > 0]):
+        nodes = np.flatnonzero(degrees == d)
+        nbrs = indices[indptr[nodes][:, None] + np.arange(d)]
+        sims = np.matmul(unit[nbrs], unit[nodes][:, :, None])[..., 0]
+        out[nodes] = np.clip(sims.mean(axis=1), 0.0, 1.0)
     return out
-
-
-def estimate_distribution(soft_labels, graph: Graph, node_set, n_bins: int,
-                          label_override=None) -> HomophilyDistribution:
-    """Binned estimated homophily ratios for the given node set."""
-    node_set = np.asarray(node_set, dtype=np.int64)
-    if node_set.size == 0:
-        return HomophilyDistribution(n_bins=n_bins, counts=np.zeros(n_bins))
-    profile = estimate_homophily_profile(soft_labels, graph, label_override)
-    return bin_distribution(profile[node_set], n_bins)
-
-
-def write_distribution_csv(dist, path) -> None:
-    """Serialize a binned distribution as ``bin_index,count`` rows."""
-    counts = np.asarray(getattr(dist, "counts", dist), dtype=np.float64)
-    with open(path, "w", newline="\n") as f:
-        f.write("bin_index,count\n")
-        for i, count in enumerate(counts):
-            f.write(f"{i},{float(count)!r}\n")
 
 
 def target_distribution(global_dist: HomophilyDistribution, local_counts, k: int) -> TargetDistribution:

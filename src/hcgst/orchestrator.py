@@ -204,13 +204,6 @@ def _accuracy(predictions, truth, idx) -> float:
     return float(np.mean(np.asarray(predictions)[idx] == np.asarray(truth)[idx]))
 
 
-def run_variant(graph: Graph, partition: NodePartition, cfg: RunConfig) -> RunReport:
-    """Dispatch a run for cfg.variant (rejects unknown variants)."""
-    if cfg.variant not in VARIANTS:
-        raise ValueError(f"unknown variant {cfg.variant!r}; expected one of {VARIANTS}")
-    return run_self_training(graph, partition, cfg)
-
-
 def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) -> RunReport:
     """Execute the full self-training workflow and report per-stage and per-bin results.
 

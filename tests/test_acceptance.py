@@ -20,7 +20,7 @@ from hcgst.homophily import (HomophilyDistribution, TargetDistribution,
 from hcgst.metrics import CmdConfig, cmd, kl_divergence
 from hcgst.model import (TrainConfig, gradient_check, init_params, predict,
                          train_dual)
-from hcgst.orchestrator import RunConfig, run_variant
+from hcgst.orchestrator import RunConfig, run_self_training
 from hcgst.selection import (SelectionProblem, optimize_selection,
                              selection_loss_and_grad, top_k)
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
@@ -66,7 +66,7 @@ def _partition_for(graph, seed, n_val):
 def _run(graph, variant, seed, n_val, stages=10):
     cfg = RunConfig(variant=variant, seed=seed, stages=stages,
                     train=TrainConfig(seed=seed))
-    return run_variant(graph, _partition_for(graph, seed, n_val), cfg)
+    return run_self_training(graph, _partition_for(graph, seed, n_val), cfg)
 
 
 @pytest.fixture(scope="module")

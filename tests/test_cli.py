@@ -105,6 +105,13 @@ def test_run_missing_graph_dir_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_run_malformed_edge_row_is_config_error(tmp_path):
+    graph = _generate(tmp_path)
+    with open(graph / "edges.csv", "a") as f:
+        f.write("3,not-a-node\n")
+    assert main(["run", "--graph", str(graph), "--out", str(tmp_path / "x")]) == 2
+
+
 def test_config_file_with_flag_override(tmp_path):
     graph = _generate(tmp_path)
     cfg = {"graph": str(graph), "out": str(tmp_path / "from_config"),

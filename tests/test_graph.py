@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +16,10 @@ from hcgst.graph import (build_graph, graph_homophily, k_hop_adjacency, load_gra
 def _graph(edges, n, labels=None, d=2):
     feats = np.zeros((n, d))
     return build_graph(edges, feats, labels)
+
+
+def _row(adj, v):
+    return adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
 
 
 def test_build_dedup_and_self_loop():
@@ -58,10 +64,9 @@ def test_neighbor_lists_match_append_loop(case):
     n, pairs = case
     g = _graph(pairs, n=n)
     ref = _reference_neighbor_lists(n, g.edges.tolist())
-    assert isinstance(g.neighbors, tuple) and len(g.neighbors) == n
-    for got, want in zip(g.neighbors, ref):
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want)
+    assert g.adj.shape == (n, n)
+    for v, want in enumerate(ref):
+        assert np.array_equal(_row(g.adj, v), want)
     assert g.degrees.dtype == np.int64
     assert g.degrees.tolist() == [len(nb) for nb in ref]
     adj = np.zeros((n, n), dtype=np.int64)
@@ -70,10 +75,9 @@ def test_neighbor_lists_match_append_loop(case):
     two_hop = (adj @ adj > 0) & ~np.eye(n, dtype=bool)
     for k, dense in ((1, adj), (2, two_hop)):
         view = k_hop_adjacency(g, k)
-        assert len(view.neighbors) == n
-        for v, nb in enumerate(view.neighbors):
-            assert nb.dtype == np.int64
-            assert nb.tolist() == np.nonzero(dense[v])[0].tolist()
+        assert view.adj.shape == (n, n)
+        for v in range(n):
+            assert _row(view.adj, v).tolist() == np.nonzero(dense[v])[0].tolist()
 
 
 def test_build_rejects_bad_endpoint_with_index():
@@ -101,9 +105,9 @@ def test_two_hop_on_path():
     # A^2 on 0-1-2 has nonzeros only at (0,2),(2,0) plus the removed diagonal
     g = _graph([(0, 1), (1, 2)], n=3)
     view = k_hop_adjacency(g, 2)
-    assert view.neighbors[0].tolist() == [2]
-    assert view.neighbors[1].tolist() == []
-    assert view.neighbors[2].tolist() == [0]
+    assert _row(view.adj, 0).tolist() == [2]
+    assert _row(view.adj, 1).tolist() == []
+    assert _row(view.adj, 2).tolist() == [0]
 
 
 def test_one_hop_equals_raw_adjacency():
@@ -112,14 +116,14 @@ def test_one_hop_equals_raw_adjacency():
     g = _graph(edges, n=12)
     view = k_hop_adjacency(g, 1)
     for v in range(12):
-        assert view.neighbors[v].tolist() == g.neighbors[v].tolist()
+        assert _row(view.adj, v).tolist() == _row(g.adj, v).tolist()
 
 
 def test_two_hop_on_triangle_connects_everything():
     g = _graph([(0, 1), (1, 2), (0, 2)], n=3)
     view = k_hop_adjacency(g, 2)
     for v in range(3):
-        assert view.neighbors[v].tolist() == sorted(set(range(3)) - {v})
+        assert _row(view.adj, v).tolist() == sorted(set(range(3)) - {v})
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -131,6 +135,38 @@ def test_k_hop_symmetry(k):
     mat = view.binary_matrix().toarray()
     assert np.array_equal(mat, mat.T)
     assert np.all(np.diag(mat) == 0)
+
+
+def _reference_norm(graph, k):
+    # the COO-built binary adjacency and normalisation k_hop_adjacency used before
+    # the graph carried its own CSR
+    m = graph.edges.shape[0]
+    rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]]) if m else np.empty(0, dtype=np.int64)
+    cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]]) if m else np.empty(0, dtype=np.int64)
+    binary = sp.csr_matrix((np.ones(2 * m), (rows, cols)), shape=(graph.n, graph.n))
+    power = binary
+    for _ in range(k - 1):
+        power = power @ binary
+    if k > 1:
+        power = power.tocsr()
+        power.setdiag(0)
+        power.eliminate_zeros()
+        power.data = np.ones_like(power.data)
+    with_loops = (power + sp.identity(graph.n, format="csr")).tocsr()
+    d_mat = sp.diags(1.0 / np.sqrt(np.asarray(with_loops.sum(axis=1)).ravel()))
+    return (d_mat @ with_loops @ d_mat).tocsr()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n,seed", [(12, 0), (60, 1), (300, 2)])
+def test_norm_arrays_match_coo_reference(k, n, seed):
+    rng = np.random.default_rng(seed)
+    edges = rng.integers(0, n, size=(3 * n, 2))
+    g = _graph(edges, n=n)
+    got, want = k_hop_adjacency(g, k).norm, _reference_norm(g, k)
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_node_homophily_examples():
@@ -202,6 +238,33 @@ def test_partition_pseudo_grows_from_unlabeled():
         part.add_pseudo([2], stage=3)  # already pseudo
 
 
+def _partition_state(part):
+    return [a.tolist() for a in (part.labeled, part.validation, part.unlabeled,
+                                 part.pseudo, part.pseudo_stage)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 30), st.data())
+def test_partition_add_pseudo_keeps_sets_disjoint(n, data):
+    order = data.draw(st.permutations(range(n)))
+    n_lab = data.draw(st.integers(1, n - 1))
+    n_val = data.draw(st.integers(0, n - n_lab))
+    part = make_partition(n, order[:n_lab], order[n_lab:n_lab + n_val])
+    node = st.integers(0, n - 1)
+    for stage in range(1, data.draw(st.integers(1, 6)) + 1):
+        nodes = data.draw(st.lists(node, max_size=5))
+        before = _partition_state(part)
+        valid = len(set(nodes)) == len(nodes) and set(nodes) <= set(before[2])
+        if valid:
+            part.add_pseudo(nodes, stage)
+        else:
+            with pytest.raises(ValueError):
+                part.add_pseudo(nodes, stage)
+            assert _partition_state(part) == before
+        sets = [set(s) for s in _partition_state(part)[:4]]
+        assert sum(map(len, sets)) == len(set().union(*sets)) == n
+
+
 def test_partition_rejects_duplicate_pseudo_nodes():
     part = make_partition(10, labeled=[0], validation=[1])
     with pytest.raises(ValueError, match="distinct"):
@@ -229,6 +292,33 @@ def test_load_symmetrizes_directed_input(tmp_path):
     g = load_graph_dir(d)
     assert g.edges.tolist() == [[0, 1], [1, 2]]
     assert g.labels is None
+
+
+def _edge_dir(tmp_path, edges_text):
+    d = tmp_path / "g"
+    d.mkdir()
+    (d / "edges.csv").write_text(edges_text)
+    (d / "features.csv").write_text("0.0,1.0\n1.0,0.0\n0.5,0.5\n")
+    return d
+
+
+def test_load_skips_blank_lines_and_extra_columns(tmp_path):
+    g = load_graph_dir(_edge_dir(tmp_path, "src,dst\n\n0,1,0.5\n\n1,2,7,x\n"))
+    assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+
+@pytest.mark.parametrize("row", ["0,x", "1", "0.5,1"])
+def test_load_rejects_malformed_edge_row(tmp_path, row):
+    with pytest.raises(ValueError):
+        load_graph_dir(_edge_dir(tmp_path, f"src,dst\n0,1\n{row}\n"))
+
+
+def test_load_header_only_is_edgeless_without_warning(tmp_path):
+    d = _edge_dir(tmp_path, "src,dst\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = load_graph_dir(d)
+    assert g.n == 3 and g.n_edges == 0 and g.degrees.tolist() == [0, 0, 0]
 
 
 def test_load_rejects_missing_header(tmp_path):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcgst.graph import build_graph, true_homophily_profile
-from hcgst.homophily import (bin_distribution, estimate_distribution,
-                             estimate_homophily_profile, estimate_node_homophily,
-                             target_distribution)
+from hcgst.homophily import (bin_distribution, estimate_homophily_profile,
+                             estimate_node_homophily, target_distribution)
 
 
 def _graph(edges, n, labels=None, d=2):
@@ -16,6 +17,10 @@ def _random_graph(seed, n=30, c=3):
     edges = [(int(a), int(b)) for a, b in rng.integers(0, n, size=(3 * n, 2))]
     labels = rng.integers(0, c, size=n)
     return build_graph(edges, rng.standard_normal((n, 4)), labels)
+
+
+def _row(adj, v):
+    return adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
 
 
 def _one_hot(labels, c):
@@ -71,10 +76,10 @@ def test_estimator_monotone_in_agreeing_neighbor(seed):
     rng = np.random.default_rng(seed)
     g = _random_graph(seed)
     soft = rng.random((g.n, g.c)) + 1e-3
-    node = next(v for v in range(g.n) if g.neighbors[v].size > 0)
+    node = next(v for v in range(g.n) if _row(g.adj, v).size > 0)
     before = estimate_node_homophily(soft, g, node)
     bumped = soft.copy()
-    bumped[g.neighbors[node][0]] = soft[node]
+    bumped[_row(g.adj, node)[0]] = soft[node]
     after = estimate_node_homophily(bumped, g, node)
     assert after >= before - 1e-12
 
@@ -99,15 +104,14 @@ def test_bin_rejects_out_of_range():
 
 
 def test_estimate_distribution_empty_set():
-    g = _graph([(0, 1)], n=2)
-    dist = estimate_distribution(np.eye(2), g, [], n_bins=4)
+    dist = bin_distribution([], n_bins=4)
     assert dist.counts.tolist() == [0, 0, 0, 0]
 
 
 def test_estimate_distribution_one_hot_equals_true_binning():
     g = _random_graph(17)
     soft = _one_hot(g.labels, g.c)
-    dist = estimate_distribution(soft, g, np.arange(g.n), n_bins=10)
+    dist = bin_distribution(estimate_homophily_profile(soft, g)[np.arange(g.n)], 10)
     expected = bin_distribution(true_homophily_profile(g), 10)
     assert dist.counts.tolist() == expected.counts.tolist()
 
@@ -119,8 +123,43 @@ def test_estimate_distribution_path_fixture():
     soft = _one_hot(g.labels, 2)
     est = estimate_homophily_profile(soft, g)
     assert est.tolist() == [1.0, 0.5, 0.5, 1.0]
-    dist = estimate_distribution(soft, g, np.arange(4), n_bins=2)
+    dist = bin_distribution(est[np.arange(4)], 2)
     assert dist.counts.tolist() == [0, 4]
+
+
+@st.composite
+def _estimation_cases(draw):
+    n = draw(st.integers(0, 40))
+    c = draw(st.integers(1, 8))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=4 * n)) if n else []
+    if n and draw(st.booleans()):
+        # a star whose centre's degree exceeds numpy's 128-element pairwise block
+        pairs += [(0, n + i) for i in range(draw(st.integers(129, 160)))]
+        n += 160
+    seed = draw(st.integers(0, 2**32 - 1))
+    override = {}
+    if n:
+        pinned = draw(st.lists(st.integers(0, n - 1), max_size=10, unique=True))
+        override = {v: draw(st.integers(0, c - 1)) for v in pinned}
+    return n, c, pairs, seed, override
+
+
+@settings(max_examples=150, deadline=None)
+@given(_estimation_cases())
+def test_profile_equals_per_node_estimate_exactly(case):
+    n, c, pairs, seed, override = case
+    rng = np.random.default_rng(seed)
+    g = build_graph(pairs, np.zeros((n, 1)))
+    soft = rng.random((n, c)) + 1e-3
+    est = estimate_homophily_profile(soft, g, label_override=override)
+    pinned = soft.copy()
+    for v, y in override.items():
+        pinned[v] = 0.0
+        pinned[v, y] = 1.0
+    assert est.dtype == np.float64 and est.shape == (n,)
+    for v in range(n):
+        assert est[v] == estimate_node_homophily(pinned, g, v)
 
 
 def test_label_override_pins_rows_one_hot():
@@ -156,19 +195,6 @@ def test_target_rejects_zero_global():
     from hcgst.homophily import HomophilyDistribution
     with pytest.raises(ValueError, match="zero total"):
         target_distribution(HomophilyDistribution(2, np.zeros(2)), np.zeros(2), k=1)
-
-
-def test_distribution_csv_round_trip(tmp_path):
-    from hcgst.homophily import write_distribution_csv
-
-    dist = bin_distribution([0.05, 0.15, 0.15, 0.95], 4)
-    path = tmp_path / "dist.csv"
-    write_distribution_csv(dist, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "bin_index,count"
-    parsed = [line.split(",") for line in lines[1:]]
-    assert [int(p[0]) for p in parsed] == [0, 1, 2, 3]
-    assert [float(p[1]) for p in parsed] == dist.counts.tolist()
 
 
 @pytest.mark.parametrize("seed", range(5))

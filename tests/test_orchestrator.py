@@ -4,7 +4,7 @@ import pytest
 from hcgst.graph import make_partition
 from hcgst.model import TrainConfig, init_params
 from hcgst.orchestrator import (RunConfig, bias_metrics, per_bin_accuracy,
-                                run_self_training, run_variant)
+                                run_self_training)
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
 
 FAST_TRAIN = dict(epochs=150, learning_rate=0.02)
@@ -96,7 +96,7 @@ def test_requires_nonempty_labeled(small_graph):
 
 
 def test_backbone_only_reports_zero_deltas(small_graph):
-    rep = run_variant(small_graph, _partition(small_graph), _cfg(variant="backbone_only"))
+    rep = run_self_training(small_graph, _partition(small_graph), _cfg(variant="backbone_only"))
     br = rep.bin_report
     assert rep.stage_reports == []
     assert (br.tpv, br.npv, br.ppv) == (0.0, 0.0, 0.0)
@@ -107,9 +107,9 @@ def test_backbone_only_reports_zero_deltas(small_graph):
 def test_no_candidates_degenerates_to_backbone(small_graph):
     # short training keeps every softmax below the near-one threshold
     gentle = TrainConfig(epochs=30, learning_rate=0.005, seed=0)
-    degenerate = run_variant(small_graph, _partition(small_graph),
+    degenerate = run_self_training(small_graph, _partition(small_graph),
                              _cfg(stages=1, delta_c=0.999, variant="hcgst", train=gentle))
-    backbone = run_variant(small_graph, _partition(small_graph),
+    backbone = run_self_training(small_graph, _partition(small_graph),
                            _cfg(variant="backbone_only", train=gentle))
     assert degenerate.final_pseudo_count == 0
     assert degenerate.bin_report.to_dict() == backbone.bin_report.to_dict()
@@ -118,7 +118,7 @@ def test_no_candidates_degenerates_to_backbone(small_graph):
 
 def test_pseudo_set_grows_by_at_most_k_and_stays_unique(small_graph):
     cfg = _cfg(variant="hcgst", k_per_stage=4, stages=4)
-    rep = run_variant(small_graph, _partition(small_graph), cfg)
+    rep = run_self_training(small_graph, _partition(small_graph), cfg)
     seen = []
     for stage in rep.stage_reports:
         assert len(stage.selected) <= 4
@@ -130,7 +130,7 @@ def test_pseudo_set_grows_by_at_most_k_and_stays_unique(small_graph):
 def test_partition_not_mutated(small_graph):
     part = _partition(small_graph)
     before = part.unlabeled.copy()
-    run_variant(small_graph, part, _cfg(variant="hcgst"))
+    run_self_training(small_graph, part, _cfg(variant="hcgst"))
     assert np.array_equal(part.unlabeled, before)
     assert part.pseudo.size == 0
 
@@ -138,19 +138,19 @@ def test_partition_not_mutated(small_graph):
 def test_run_deterministic(small_graph):
     from hcgst.cli import _sanitize
 
-    a = run_variant(small_graph, _partition(small_graph), _cfg(variant="hcgst"))
-    b = run_variant(small_graph, _partition(small_graph), _cfg(variant="hcgst"))
+    a = run_self_training(small_graph, _partition(small_graph), _cfg(variant="hcgst"))
+    b = run_self_training(small_graph, _partition(small_graph), _cfg(variant="hcgst"))
     assert _sanitize(a.to_dict()) == _sanitize(b.to_dict())
 
 
 def test_no_multihop_routes_nothing(small_graph):
-    rep = run_variant(small_graph, _partition(small_graph), _cfg(variant="no_multihop"))
+    rep = run_self_training(small_graph, _partition(small_graph), _cfg(variant="no_multihop"))
     assert all(s.n_multi_hop == 0 for s in rep.stage_reports)
 
 
 def test_st_confidence_routes_nothing_and_keeps_pseudo_head(small_graph):
     cfg = _cfg(variant="st_confidence")
-    rep = run_variant(small_graph, _partition(small_graph), cfg)
+    rep = run_self_training(small_graph, _partition(small_graph), cfg)
     assert all(s.n_multi_hop == 0 for s in rep.stage_reports)
     fresh = init_params(small_graph.d, cfg.hidden, small_graph.c, cfg.seed)
     assert np.array_equal(rep.params.w_pseudo, fresh.w_pseudo)
@@ -158,7 +158,7 @@ def test_st_confidence_routes_nothing_and_keeps_pseudo_head(small_graph):
 
 def test_no_dualhead_leaves_pseudo_head_at_init(small_graph):
     cfg = _cfg(variant="no_dualhead")
-    rep = run_variant(small_graph, _partition(small_graph), cfg)
+    rep = run_self_training(small_graph, _partition(small_graph), cfg)
     assert rep.final_pseudo_count > 0  # self-training actually ran
     fresh = init_params(small_graph.d, cfg.hidden, small_graph.c, cfg.seed)
     assert np.array_equal(rep.params.w_pseudo, fresh.w_pseudo)
@@ -166,7 +166,7 @@ def test_no_dualhead_leaves_pseudo_head_at_init(small_graph):
 
 def test_hcgst_trains_pseudo_head_when_leftovers_exist(small_graph):
     cfg = _cfg(variant="hcgst", k_per_stage=3)
-    rep = run_variant(small_graph, _partition(small_graph), cfg)
+    rep = run_self_training(small_graph, _partition(small_graph), cfg)
     candidates_beyond_k = any(s.n_candidates > 3 for s in rep.stage_reports)
     if candidates_beyond_k and rep.best_stage > 0:
         fresh = init_params(small_graph.d, cfg.hidden, small_graph.c, cfg.seed)
@@ -174,7 +174,7 @@ def test_hcgst_trains_pseudo_head_when_leftovers_exist(small_graph):
 
 
 def test_stage_reports_within_budget(small_graph):
-    rep = run_variant(small_graph, _partition(small_graph), _cfg(variant="hcgst", stages=5))
+    rep = run_self_training(small_graph, _partition(small_graph), _cfg(variant="hcgst", stages=5))
     assert len(rep.stage_reports) <= 5
     for s in rep.stage_reports:
         assert np.isfinite(s.kl_local_global_est)
@@ -186,6 +186,6 @@ def test_stage_reports_within_budget(small_graph):
 def test_empty_validation_runs_all_stages(small_graph):
     labeled = sample_training_set(small_graph, 0.05, "representative", 10, 0)
     part = make_partition(small_graph.n, labeled, [])
-    rep = run_variant(small_graph, part, _cfg(variant="hcgst", stages=3))
+    rep = run_self_training(small_graph, part, _cfg(variant="hcgst", stages=3))
     assert len(rep.stage_reports) == 3
     assert rep.best_stage == max(s.stage for s in rep.stage_reports)
