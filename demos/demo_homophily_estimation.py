@@ -21,7 +21,7 @@ graph = generate_graph(SynthConfig(
 truth = true_homophily_profile(graph)
 print(f"graph: {graph.n} nodes, {graph.n_edges} edges, "
       f"graph homophily {graph_homophily(graph):.3f}")
-print("true ratio histogram (10 bins):", bin_distribution(truth, 10).counts.astype(int))
+print("true ratio histogram (10 bins):", bin_distribution(truth, 10).astype(int))
 
 # one-hot soft labels: the cosine estimator reduces to the label definition
 one_hot = np.zeros((graph.n, graph.c))
@@ -36,7 +36,7 @@ empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 view = k_hop_adjacency(graph, 1)
 params = train_dual(init_params(graph.d, 32, graph.c, 0), graph, view,
                     (labeled, graph.labels[labeled]), empty, empty,
-                    TrainConfig(epochs=200, seed=0))
+                    TrainConfig(epochs=200), lambda_dual=0.09)
 soft = forward(params, view, graph.features).soft
 
 # labeled nodes are pinned to their known labels before estimating
@@ -45,4 +45,4 @@ est_soft = estimate_homophily_profile(soft, graph, override)
 corr = np.corrcoef(est_soft, truth)[0, 1]
 print(f"with model soft labels: mean |error| = {np.mean(np.abs(est_soft - truth)):.3f}, "
       f"correlation with truth = {corr:.3f}")
-print("estimated histogram:", bin_distribution(est_soft, 10).counts.astype(int))
+print("estimated histogram:", bin_distribution(est_soft, 10).astype(int))

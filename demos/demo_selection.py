@@ -27,7 +27,7 @@ view = k_hop_adjacency(graph, 1)
 empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 params = train_dual(init_params(graph.d, 32, graph.c, 1), graph, view,
                     (labeled, graph.labels[labeled]), empty, empty,
-                    TrainConfig(seed=1), validation=(val, graph.labels[val]))
+                    TrainConfig(), lambda_dual=0.09, validation=(val, graph.labels[val]))
 out = forward(params, view, graph.features)
 conf = out.soft.max(axis=1)
 
@@ -40,8 +40,8 @@ k = labeled.size
 global_est = bin_distribution(est_h, 10)
 local_est = bin_distribution(est_h[labeled], 10)
 target = target_distribution(global_est, local_est, k)
-print("local bins :", local_est.counts.astype(int))
-print("target     :", target.counts.astype(int))
+print("local bins :", local_est.astype(int))
+print("target     :", target.astype(int))
 
 problem = SelectionProblem(candidates=cands, cand_repr=out.logits[cands],
                            global_repr=out.logits, cand_homophily=est_h[cands],
@@ -54,12 +54,12 @@ print(f"\nselection loss: {loss0:.3f} at init -> {loss1:.3f} after optimization 
       f"(cmd {terms['cmd']:.3f}, kl {terms['kl']:.3f}, penalty {terms['penalty']:.3f})")
 
 mass = selection_bin_mass(qvec.q, est_h[cands], 10)
-scaled = mass.counts / mass.counts.sum() * target.counts.sum()
+scaled = mass / mass.sum() * target.sum()
 print("q mass per bin (scaled to target total):", np.round(scaled, 1))
 
 chosen = top_k(qvec.q, k, cands, conf[cands])
 by_conf = cands[np.lexsort((cands, -conf[cands]))][:k]
-print("\nselected bins (optimized):", bin_distribution(est_h[chosen], 10).counts.astype(int))
-print("selected bins (top conf) :", bin_distribution(est_h[by_conf], 10).counts.astype(int))
+print("\nselected bins (optimized):", bin_distribution(est_h[chosen], 10).astype(int))
+print("selected bins (top conf) :", bin_distribution(est_h[by_conf], 10).astype(int))
 print("the relaxed q matches the target shape; top-K then extracts the heaviest",
       "entries, while pure confidence ranking drifts to the homophilic end.", sep="\n")

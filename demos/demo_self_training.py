@@ -8,8 +8,8 @@ final accuracy, local/global KL, and the per-bin bias metrics.
 
 import numpy as np
 
-from hcgst import (RunConfig, SynthConfig, TrainConfig, generate_graph,
-                   make_partition, run_self_training, sample_training_set)
+from hcgst import (RunConfig, SynthConfig, generate_graph, make_partition,
+                   run_self_training, sample_training_set)
 
 graph = generate_graph(SynthConfig(
     n=500, classes=4, feature_dim=16, mean_degree=8,
@@ -27,7 +27,7 @@ def fresh_partition(seed=0):
 SEED = 5
 reports = {}
 for variant in ("backbone_only", "st_confidence", "hcgst"):
-    cfg = RunConfig(variant=variant, seed=SEED, train=TrainConfig(seed=SEED))
+    cfg = RunConfig(variant=variant, seed=SEED)
     reports[variant] = run_self_training(graph, fresh_partition(SEED), cfg)
 
 print("hcgst stage trajectory:")

@@ -9,14 +9,13 @@ message-passing classifier, plus synthetic fixtures and bias metrics.
 from .graph import (AdjacencyView, Graph, NodePartition, build_graph, graph_homophily,
                     k_hop_adjacency, load_graph_dir, make_partition, save_graph_dir,
                     true_homophily_profile, true_node_homophily)
-from .homophily import (HomophilyDistribution, TargetDistribution, bin_distribution,
-                        estimate_homophily_profile, estimate_node_homophily,
+from .homophily import (bin_distribution, estimate_homophily_profile, estimate_node_homophily,
                         target_distribution)
 from .metrics import (CmdConfig, cmd, cmd_weighted, cmd_weighted_with_grad,
                       kl_divergence, kl_divergence_with_grad)
 from .model import (ForwardOutput, ModelParams, TrainConfig, forward, gradient_check,
-                    init_params, load_params, predict, save_params, soft_labels,
-                    softmax_rows, train_dual)
+                    init_params, load_params, predict, save_params, softmax_rows,
+                    train_dual)
 from .orchestrator import (BinReport, RunConfig, RunReport, StageReport, VARIANTS,
                            bias_metrics, per_bin_accuracy, run_self_training)
 from .pseudolabel import MixedOutput, assign_pseudo_labels, mix_outputs

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -29,40 +30,59 @@ SWEEP_GRIDS = {
     "delta_h": [round(0.1 * (i + 1), 1) for i in range(9)],
 }
 
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
+
+
+def _option(field_name: str) -> str:
+    """Run option (flag and config-file key) of a RunConfig field."""
+    return "k" if field_name == "k_per_stage" else field_name
+
+
+_CONFIG_DEFAULTS = _field_defaults(RunConfig)  # every RunConfig field but the nested train
+_TRAIN_DEFAULTS = _field_defaults(TrainConfig)
 _RUN_DEFAULTS = {
-    "variant": "hcgst", "repeat": 1, "seed": 0, "label_rate": 0.02,
-    "bias_mode": "representative", "val_fraction": 0.05, "stages": 10, "k": None,
-    "delta_c": 0.65, "delta_h": 0.4, "lambda_s": 2.0, "lambda_d": 0.09,
-    "n_bins": 10, "hop": 2, "hidden": 32, "epochs": 300, "learning_rate": 0.001,
-    "weight_decay": 5e-4, "jobs": 1, "graph": None, "out": None,
+    **{_option(name): value for name, value in _CONFIG_DEFAULTS.items()}, **_TRAIN_DEFAULTS,
+    # options that are no RunConfig or TrainConfig field
+    "repeat": 1, "label_rate": 0.02, "bias_mode": "representative", "val_fraction": 0.05,
+    "jobs": 1, "graph": None, "out": None,
 }
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
+    d = _RUN_DEFAULTS
     p.add_argument("--config", help="JSON file with option defaults (flags override)")
     p.add_argument("--graph", help="graph directory (edges.csv/features.csv/labels.csv)")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--variant", help=f"comma list from {','.join(VARIANTS)} (default hcgst)")
-    p.add_argument("--repeat", type=int, help="number of seeds per variant (default 1)")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--label-rate", type=float, dest="label_rate", help="labeled fraction (default 0.02)")
+    p.add_argument("--variant", help=f"comma list from {','.join(VARIANTS)} (default {d['variant']})")
+    p.add_argument("--repeat", type=int, help=f"number of seeds per variant (default {d['repeat']})")
+    p.add_argument("--seed", type=int, help=f"base seed (default {d['seed']})")
+    p.add_argument("--label-rate", type=float, dest="label_rate",
+                   help=f"labeled fraction (default {d['label_rate']})")
     p.add_argument("--bias-mode", dest="bias_mode", choices=BIAS_MODES,
-                   help="training-set bias mode (default representative)")
+                   help=f"training-set bias mode (default {d['bias_mode']})")
     p.add_argument("--val-fraction", type=float, dest="val_fraction",
-                   help="validation fraction (default 0.05)")
-    p.add_argument("--stages", type=int, help="max self-training stages (default 10)")
+                   help=f"validation fraction (default {d['val_fraction']})")
+    p.add_argument("--stages", type=int, help=f"max self-training stages (default {d['stages']})")
     p.add_argument("--k", type=int, help="pseudo-nodes per stage (default: labeled-set size)")
-    p.add_argument("--delta-c", type=float, dest="delta_c", help="confidence threshold (default 0.65)")
-    p.add_argument("--delta-h", type=float, dest="delta_h", help="heterophily threshold (default 0.4)")
-    p.add_argument("--lambda-s", type=float, dest="lambda_s", help="homophily-consistency weight (default 2.0)")
-    p.add_argument("--lambda-d", type=float, dest="lambda_d", help="pseudo-head loss weight (default 0.09)")
-    p.add_argument("--n-bins", type=int, dest="n_bins", help="homophily bins (default 10)")
-    p.add_argument("--hop", type=int, help="multi-hop order (default 2)")
-    p.add_argument("--hidden", type=int, help="model width (default 32)")
-    p.add_argument("--epochs", type=int, help="training epochs per stage (default 300)")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate", help="Adam step (default 0.001)")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay", help="L2 strength (default 5e-4)")
-    p.add_argument("--jobs", type=int, help="parallel runs (default 1)")
+    p.add_argument("--delta-c", type=float, dest="delta_c",
+                   help=f"confidence threshold (default {d['delta_c']})")
+    p.add_argument("--delta-h", type=float, dest="delta_h",
+                   help=f"heterophily threshold (default {d['delta_h']})")
+    p.add_argument("--lambda-s", type=float, dest="lambda_s",
+                   help=f"homophily-consistency weight (default {d['lambda_s']})")
+    p.add_argument("--lambda-d", type=float, dest="lambda_d",
+                   help=f"pseudo-head loss weight (default {d['lambda_d']})")
+    p.add_argument("--n-bins", type=int, dest="n_bins", help=f"homophily bins (default {d['n_bins']})")
+    p.add_argument("--hop", type=int, help=f"multi-hop order (default {d['hop']})")
+    p.add_argument("--hidden", type=int, help=f"model width (default {d['hidden']})")
+    p.add_argument("--epochs", type=int, help=f"training epochs per stage (default {d['epochs']})")
+    p.add_argument("--learning-rate", type=float, dest="learning_rate",
+                   help=f"Adam step (default {d['learning_rate']})")
+    p.add_argument("--weight-decay", type=float, dest="weight_decay",
+                   help=f"L2 strength (default {d['weight_decay']})")
+    p.add_argument("--jobs", type=int, help=f"parallel runs (default {d['jobs']})")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -86,17 +106,10 @@ def _merge_options(args: argparse.Namespace) -> dict:
 
 
 def _run_config(opts: dict, variant: str, seed: int, **overrides) -> RunConfig:
-    fields = dict(
-        stages=opts["stages"], k_per_stage=opts["k"], delta_c=opts["delta_c"],
-        delta_h=opts["delta_h"], lambda_s=opts["lambda_s"], lambda_d=opts["lambda_d"],
-        n_bins=opts["n_bins"], hop=opts["hop"], variant=variant, seed=seed,
-        hidden=opts["hidden"],
-        train=TrainConfig(epochs=opts["epochs"], learning_rate=opts["learning_rate"],
-                          lambda_dual=opts["lambda_d"], weight_decay=opts["weight_decay"],
-                          seed=seed),
-    )
-    fields.update(overrides)
-    return RunConfig(**fields)
+    fields = {name: opts[_option(name)] for name in _CONFIG_DEFAULTS}
+    fields.update(variant=variant, seed=seed, **overrides)
+    train = TrainConfig(**{name: opts[name] for name in _TRAIN_DEFAULTS})
+    return RunConfig(train=train, **fields)
 
 
 def build_partition(graph, label_rate: float, bias_mode: str, n_bins: int,

@@ -63,7 +63,7 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     pairs = pairs[keep]
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    edges = np.unique(np.stack([lo, hi], axis=1), axis=0) if pairs.size else np.empty((0, 2), dtype=np.int64)
+    edges = np.stack(divmod(np.unique(lo * n + hi), n), axis=1)  # one sort key per pair, lo-major
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)

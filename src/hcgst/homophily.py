@@ -2,48 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import Graph
-
-
-@dataclass(frozen=True)
-class HomophilyDistribution:
-    """Per-bin node counts (or selection-weighted masses) over N even homophily intervals."""
-
-    n_bins: int
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.float64)
-        object.__setattr__(self, "counts", counts)
-        if counts.shape != (self.n_bins,):
-            raise ValueError(f"counts must have shape ({self.n_bins},), got {counts.shape}")
-        if np.any(counts < 0):
-            raise ValueError("bin counts must be non-negative")
-
-    @property
-    def total(self) -> float:
-        return float(self.counts.sum())
-
-
-@dataclass(frozen=True)
-class TargetDistribution:
-    """Per-bin pseudo-node quotas for the current stage (entries clamped at 0)."""
-
-    counts: np.ndarray
-
-    def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.float64)
-        object.__setattr__(self, "counts", counts)
-        if np.any(counts < 0):
-            raise ValueError("target entries must be non-negative")
-
-    @property
-    def n_bins(self) -> int:
-        return self.counts.shape[0]
 
 
 def bin_index(ratios, n_bins: int) -> np.ndarray:
@@ -62,11 +23,9 @@ def bin_index(ratios, n_bins: int) -> np.ndarray:
     return np.searchsorted(edges, ratios, side="right")
 
 
-def bin_distribution(ratios, n_bins: int) -> HomophilyDistribution:
-    """Histogram of homophily ratios over N even-width bins."""
-    idx = bin_index(ratios, n_bins)
-    counts = np.bincount(idx, minlength=n_bins).astype(np.float64)
-    return HomophilyDistribution(n_bins=n_bins, counts=counts)
+def bin_distribution(ratios, n_bins: int) -> np.ndarray:
+    """Histogram of homophily ratios over N even-width bins: float64 counts, length N."""
+    return np.bincount(bin_index(ratios, n_bins), minlength=n_bins).astype(np.float64)
 
 
 def _normalized_rows(soft_labels: np.ndarray) -> np.ndarray:
@@ -122,17 +81,17 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
     return out
 
 
-def target_distribution(global_dist: HomophilyDistribution, local_counts, k: int) -> TargetDistribution:
+def target_distribution(global_counts, local_counts, k: int) -> np.ndarray:
     """Per-bin number of new pseudo-nodes needed to pull the local distribution
-    toward the global one after adding k nodes.
+    toward the global one after adding k nodes, as a float64 array.
 
     target_i = max(ceil(fr_i * (k + |local|) - local_i), 0) with fr_i the
     global bin frequency.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    g = np.asarray(getattr(global_dist, "counts", global_dist), dtype=np.float64)
-    local = np.asarray(getattr(local_counts, "counts", local_counts), dtype=np.float64)
+    g = np.asarray(global_counts, dtype=np.float64)
+    local = np.asarray(local_counts, dtype=np.float64)
     if g.shape != local.shape:
         raise ValueError(f"global and local bin counts differ in length: {g.shape} vs {local.shape}")
     total_g = g.sum()
@@ -141,4 +100,4 @@ def target_distribution(global_dist: HomophilyDistribution, local_counts, k: int
     fr = g / total_g
     budget = k + local.sum()
     raw = np.ceil(fr * budget - local)
-    return TargetDistribution(counts=np.maximum(raw, 0.0))
+    return np.maximum(raw, 0.0)

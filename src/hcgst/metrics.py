@@ -167,8 +167,8 @@ def kl_divergence_with_grad(p_counts, q_counts, eps: float = 1e-8):
     """
     if eps <= 0:
         raise ValueError(f"smoothing eps must be positive, got {eps}")
-    p_raw = np.asarray(getattr(p_counts, "counts", p_counts), dtype=np.float64)
-    q_raw = np.asarray(getattr(q_counts, "counts", q_counts), dtype=np.float64)
+    p_raw = np.asarray(p_counts, dtype=np.float64)
+    q_raw = np.asarray(q_counts, dtype=np.float64)
     if p_raw.shape != q_raw.shape:
         raise ValueError(f"bin-count mismatch: {p_raw.shape} vs {q_raw.shape}")
     cp = p_raw + eps

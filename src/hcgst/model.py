@@ -51,15 +51,11 @@ class ForwardOutput:
 class TrainConfig:
     epochs: int = 300
     learning_rate: float = 0.001
-    lambda_dual: float = 0.09
     weight_decay: float = 5e-4
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.lambda_dual < 0:
-            raise ValueError(f"lambda_dual must be >= 0, got {self.lambda_dual}")
 
 
 def init_params(d: int, hidden: int, c: int, seed: int) -> ModelParams:
@@ -85,13 +81,6 @@ def softmax_rows(logits) -> np.ndarray:
     shifted = z - z.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
-
-
-def soft_labels(output) -> np.ndarray:
-    """Row-stochastic class probabilities from a forward output (or raw logits)."""
-    if isinstance(output, ForwardOutput):
-        return output.soft
-    return softmax_rows(output)
 
 
 def forward(params: ModelParams, view, features) -> ForwardOutput:
@@ -216,16 +205,19 @@ def _check_label_sets(name, nodes, labels, c):
 
 
 def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_labels,
-               leftover_with_labels, cfg: TrainConfig, validation=None) -> ModelParams:
+               leftover_with_labels, cfg: TrainConfig, lambda_dual: float,
+               validation=None) -> ModelParams:
     """Full-batch Adam on the dual-head objective.
 
     The main head trains on clean plus distribution-consistent pseudo-nodes;
     the pseudo head trains on the leftover candidates with weight
-    ``lambda_dual``, feeding gradients into the shared extractor. When a
+    ``lambda_dual`` (>= 0), feeding gradients into the shared extractor. When a
     validation (nodes, labels) pair is given the parameters with the best
     validation accuracy seen during training are returned, otherwise the
     final-epoch parameters.
     """
+    if lambda_dual < 0:
+        raise ValueError(f"lambda_dual must be >= 0, got {lambda_dual}")
     c = params.w_main.shape[1]
     clean_idx, clean_y = _check_label_sets("clean set", *clean_with_labels, c=c)
     cons_idx, cons_y = _check_label_sets("consistent pseudo set", *pseudo_with_labels, c=c)
@@ -248,7 +240,7 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     best = None  # (acc, params copy)
 
     for epoch in range(cfg.epochs):
-        loss, grads, zm = dual_loss_and_grads(cur, rows, cfg.lambda_dual, cfg.weight_decay)
+        loss, grads, zm = dual_loss_and_grads(cur, rows, lambda_dual, cfg.weight_decay)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
         if val_idx is not None:
@@ -273,29 +265,26 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     return cur
 
 
-def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, view=None, h: float = 1e-5) -> float:
+def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dual: float,
+                   view=None, h: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central finite differences.
 
-    Runs on a tiny instance; node labels come from the graph when present,
-    otherwise from the config seed. Even nodes form the main set and odd
+    Runs on a tiny labelled instance; even nodes form the main set and odd
     nodes the leftover pseudo set.
     """
     from .graph import k_hop_adjacency
 
+    if tiny_graph.labels is None:
+        raise ValueError("gradient check needs a labelled graph")
     if view is None:
         view = k_hop_adjacency(tiny_graph, 1)
-    n = tiny_graph.n
-    c = params.w_main.shape[1]
-    if tiny_graph.labels is not None:
-        y = tiny_graph.labels
-    else:
-        y = np.random.default_rng(cfg.seed).integers(0, c, size=n)
-    nodes = np.arange(n)
+    y = tiny_graph.labels
+    nodes = np.arange(tiny_graph.n)
     rows = training_rows(view, tiny_graph.features, nodes[0::2], y[0::2], nodes[1::2], y[1::2])
-    _, grads, _ = dual_loss_and_grads(params, rows, cfg.lambda_dual, cfg.weight_decay)
+    _, grads, _ = dual_loss_and_grads(params, rows, lambda_dual, cfg.weight_decay)
 
     def loss_at(p):
-        return dual_loss_and_grads(p, rows, cfg.lambda_dual, cfg.weight_decay)[0]
+        return dual_loss_and_grads(p, rows, lambda_dual, cfg.weight_decay)[0]
 
     worst = 0.0
     for key, mat in params.matrices().items():

@@ -11,7 +11,7 @@ validation accuracy across stages is the final one.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,15 +60,7 @@ class RunConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
 
     def to_dict(self) -> dict:
-        return {
-            "stages": self.stages, "k_per_stage": self.k_per_stage,
-            "delta_c": self.delta_c, "delta_h": self.delta_h,
-            "lambda_s": self.lambda_s, "lambda_d": self.lambda_d,
-            "n_bins": self.n_bins, "hop": self.hop, "variant": self.variant,
-            "seed": self.seed, "hidden": self.hidden,
-            "train": {"epochs": self.train.epochs, "learning_rate": self.train.learning_rate,
-                      "weight_decay": self.train.weight_decay},
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -224,7 +216,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     x = graph.features
     n_bins = cfg.n_bins
     k_stage = cfg.k_per_stage if cfg.k_per_stage is not None else int(part.labeled.size)
-    train_cfg = replace(cfg.train, lambda_dual=cfg.lambda_d if knobs.dual_head else 0.0, seed=cfg.seed)
+    lambda_dual = cfg.lambda_d if knobs.dual_head else 0.0
 
     view1 = k_hop_adjacency(graph, 1)
     view_k = None
@@ -238,7 +230,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         return init_params(graph.d, cfg.hidden, graph.c, cfg.seed)
 
     params = train_dual(fresh_params(), graph, view1, (part.labeled, y_true[part.labeled]),
-                        empty, empty, train_cfg, validation=val_pair)
+                        empty, empty, cfg.train, lambda_dual, validation=val_pair)
     out = forward(params, view1, x)
     backbone_preds = np.argmax(out.logits, axis=1)
     val_acc = _accuracy(backbone_preds, y_true, part.validation)
@@ -260,75 +252,85 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         override = {int(v): int(y_true[v]) for v in part.labeled}
         override.update({int(v): int(pseudo_label_of[int(v)]) for v in part.pseudo})
         est_h = estimate_homophily_profile(soft, graph, override)
+        global_est = bin_distribution(est_h, n_bins)
 
+        # an empty candidate set skips selection and retraining: the stage keeps
+        # the current model, cannot become the best stage and costs patience
         cands = candidate_set(soft, part.pseudo, part.labeled, part.validation, cfg.delta_c)
+        selected = new_labels = np.empty(0, dtype=np.int64)
+        from_multi_hop = np.empty(0, dtype=bool)
         if cands.size == 0:
             logger.warning("stage %d: empty candidate set, skipping", s)
-            cur_preds = np.argmax(out.logits, axis=1)
-            stage_reports.append(_stage_report(s, np.empty(0, np.int64), np.empty(0, np.int64),
-                                               np.empty(0, bool), np.empty(0), 0, 0,
-                                               part, est_h, true_profile, global_true,
-                                               out.logits, n_bins,
-                                               _accuracy(cur_preds, y_true, part.validation),
-                                               _accuracy(cur_preds, y_true, test_set)))
-            patience += 1
-            if have_val and patience >= 2:
-                break
-            continue
-
-        global_est = bin_distribution(est_h, n_bins)
-        local_est = bin_distribution(est_h[part.train_pool()], n_bins)
-        target = target_distribution(global_est, local_est, k_stage)
-
-        if knobs.optimized_selection:
-            problem = SelectionProblem(candidates=cands, cand_repr=out.logits[cands],
-                                       global_repr=out.logits, cand_homophily=est_h[cands],
-                                       target=target, k=k_stage, lambda_s=knobs.lambda_s,
-                                       n_bins=n_bins)
-            q = optimize_selection(problem, PgdConfig())
-            selected = top_k(q.q, k_stage, cands, conf[cands])
         else:
-            order = np.lexsort((cands, -conf[cands]))
-            selected = cands[order[:k_stage]]
+            local_est = bin_distribution(est_h[part.train_pool()], n_bins)
+            target = target_distribution(global_est, local_est, k_stage)
 
-        if knobs.delta_h > 0:
-            if view_k is None:
-                view_k = k_hop_adjacency(graph, cfg.hop)
-            multi_logits = forward(params, view_k, x).logits
-        else:
-            multi_logits = out.logits
-        mixed = mix_outputs(out.logits, multi_logits, est_h, knobs.delta_h)
+            if knobs.optimized_selection:
+                problem = SelectionProblem(candidates=cands, cand_repr=out.logits[cands],
+                                           global_repr=out.logits, cand_homophily=est_h[cands],
+                                           target=target, k=k_stage, lambda_s=knobs.lambda_s,
+                                           n_bins=n_bins)
+                q = optimize_selection(problem, PgdConfig())
+                selected = top_k(q.q, k_stage, cands, conf[cands])
+            else:
+                order = np.lexsort((cands, -conf[cands]))
+                selected = cands[order[:k_stage]]
 
-        new_labels = assign_pseudo_labels(mixed, selected)
-        part.add_pseudo(selected, s)
-        for v, lab in zip(selected, new_labels):
-            pseudo_label_of[int(v)] = int(lab)
+            if knobs.delta_h > 0:
+                if view_k is None:
+                    view_k = k_hop_adjacency(graph, cfg.hop)
+                multi_logits = forward(params, view_k, x).logits
+            else:
+                multi_logits = out.logits
+            mixed = mix_outputs(out.logits, multi_logits, est_h, knobs.delta_h)
 
-        leftovers = np.setdiff1d(cands, selected)
-        if knobs.dual_head and leftovers.size:
-            leftover_pair = (leftovers, assign_pseudo_labels(mixed, leftovers))
-        else:
-            leftover_pair = empty
+            new_labels = assign_pseudo_labels(mixed, selected)
+            from_multi_hop = mixed.from_multi_hop[selected]
+            part.add_pseudo(selected, s)
+            for v, lab in zip(selected, new_labels):
+                pseudo_label_of[int(v)] = int(lab)
 
-        pseudo_y = np.array([pseudo_label_of[int(v)] for v in part.pseudo], dtype=np.int64)
-        try:
-            # retraining always uses the one-hop view; multi-hop outputs only label
-            params = train_dual(fresh_params(), graph, view1, (part.labeled, y_true[part.labeled]),
-                                (part.pseudo, pseudo_y), leftover_pair, train_cfg, validation=val_pair)
-        except RuntimeError as err:
-            raise RuntimeError(f"training diverged at stage {s}: {err}") from err
+            leftovers = np.setdiff1d(cands, selected)
+            if knobs.dual_head and leftovers.size:
+                leftover_pair = (leftovers, assign_pseudo_labels(mixed, leftovers))
+            else:
+                leftover_pair = empty
 
-        out = forward(params, view1, x)  # also the next stage's selection pass
+            pseudo_y = np.array([pseudo_label_of[int(v)] for v in part.pseudo], dtype=np.int64)
+            try:
+                # retraining always uses the one-hop view; multi-hop outputs only label
+                params = train_dual(fresh_params(), graph, view1, (part.labeled, y_true[part.labeled]),
+                                    (part.pseudo, pseudo_y), leftover_pair, cfg.train, lambda_dual,
+                                    validation=val_pair)
+            except RuntimeError as err:
+                raise RuntimeError(f"training diverged at stage {s}: {err}") from err
+            out = forward(params, view1, x)  # also the next stage's selection pass
+
         preds = np.argmax(out.logits, axis=1)
         val_acc = _accuracy(preds, y_true, part.validation)
         test_acc = _accuracy(preds, y_true, test_set)
-        stage_reports.append(_stage_report(s, selected, new_labels,
-                                           mixed.from_multi_hop[selected], conf[selected],
-                                           cands.size, int(mixed.from_multi_hop[selected].sum()),
-                                           part, est_h, true_profile, global_true,
-                                           out.logits, n_bins, val_acc, test_acc))
+        local = part.train_pool()
+        has_pseudo = part.pseudo.size > 0
+        stage_reports.append(StageReport(
+            stage=s,
+            selected=[int(v) for v in selected],
+            assigned_labels=[int(v) for v in new_labels],
+            selected_multi_hop=[bool(v) for v in from_multi_hop],
+            selected_confidence=[float(v) for v in conf[selected]],
+            n_candidates=int(cands.size),
+            n_multi_hop=int(from_multi_hop.sum()),
+            pseudo_mean_est_h=float(np.mean(est_h[part.pseudo])) if has_pseudo else float("nan"),
+            pseudo_mean_true_h=float(np.mean(true_profile[part.pseudo])) if has_pseudo else float("nan"),
+            global_mean_est_h=float(np.mean(est_h)),
+            kl_local_global_true=float(kl_divergence(bin_distribution(true_profile[local], n_bins),
+                                                     global_true)),
+            kl_local_global_est=float(kl_divergence(bin_distribution(est_h[local], n_bins), global_est)),
+            cmd_global_local=float(cmd(out.logits, out.logits[local], CmdConfig())),
+            val_acc=float(val_acc),
+            test_acc=float(test_acc),
+        ))
 
-        if not have_val or val_acc > best_val:
+        if cands.size and (not have_val or val_acc > best_val):
             best_val, best_stage, best_params, best_preds = val_acc, s, params, preds
             patience = 0
         else:
@@ -365,33 +367,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         pseudo_mean_true_h=float(np.mean(true_profile[part.pseudo])) if part.pseudo.size else float("nan"),
         global_mean_true_h=float(np.mean(true_profile)),
         params=best_params,
-    )
-
-
-def _stage_report(stage, selected, labels, multi_flags, confidences, n_cands, n_multi,
-                  part, est_h, true_profile, global_true, logits, n_bins,
-                  val_acc, test_acc) -> StageReport:
-    local = part.train_pool()
-    local_true = bin_distribution(true_profile[local], n_bins)
-    local_est = bin_distribution(est_h[local], n_bins)
-    global_est = bin_distribution(est_h, n_bins)
-    has_pseudo = part.pseudo.size > 0
-    return StageReport(
-        stage=stage,
-        selected=[int(v) for v in selected],
-        assigned_labels=[int(v) for v in labels],
-        selected_multi_hop=[bool(v) for v in multi_flags],
-        selected_confidence=[float(v) for v in confidences],
-        n_candidates=int(n_cands),
-        n_multi_hop=int(n_multi),
-        pseudo_mean_est_h=float(np.mean(est_h[part.pseudo])) if has_pseudo else float("nan"),
-        pseudo_mean_true_h=float(np.mean(true_profile[part.pseudo])) if has_pseudo else float("nan"),
-        global_mean_est_h=float(np.mean(est_h)),
-        kl_local_global_true=float(kl_divergence(local_true, global_true)),
-        kl_local_global_est=float(kl_divergence(local_est, global_est)),
-        cmd_global_local=float(cmd(logits, logits[local], CmdConfig())),
-        val_acc=float(val_acc),
-        test_acc=float(test_acc),
     )
 
 

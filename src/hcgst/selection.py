@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homophily import HomophilyDistribution, TargetDistribution, bin_index
+from .homophily import bin_index
 from .metrics import CmdConfig, cmd_weighted_with_grad, kl_divergence_with_grad
 
 KL_EPS = 1e-8
@@ -27,7 +27,7 @@ class SelectionProblem:
     cand_repr: np.ndarray       # (m, r) candidate representations
     global_repr: np.ndarray     # (g, r) global representation sample
     cand_homophily: np.ndarray  # (m,) estimated ratios in [0, 1]
-    target: TargetDistribution
+    target: np.ndarray          # (n_bins,) non-negative per-bin quotas
     k: int
     lambda_s: float
     n_bins: int
@@ -44,6 +44,11 @@ class SelectionProblem:
         hh = np.asarray(self.cand_homophily)
         if hh.min() < 0 or hh.max() > 1:
             raise ValueError("candidate homophily ratios must lie in [0, 1]")
+        target = np.asarray(self.target)
+        if target.shape != (self.n_bins,):
+            raise ValueError(f"target must have shape ({self.n_bins},), got {target.shape}")
+        if np.any(target < 0):
+            raise ValueError("target entries must be non-negative")
 
 
 @dataclass
@@ -72,12 +77,11 @@ def candidate_set(soft_labels, prior_pseudo, labeled, validation, delta_c: float
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def selection_bin_mass(q, cand_homophily, n_bins: int) -> HomophilyDistribution:
-    """Per-bin sum of selection weights, linear in q."""
+def selection_bin_mass(q, cand_homophily, n_bins: int) -> np.ndarray:
+    """Per-bin sum of selection weights, linear in q; float64, length ``n_bins``."""
     q = np.asarray(q, dtype=np.float64)
     idx = bin_index(cand_homophily, n_bins)
-    mass = np.bincount(idx, weights=q, minlength=n_bins)
-    return HomophilyDistribution(n_bins=n_bins, counts=mass)
+    return np.bincount(idx, weights=q, minlength=n_bins)
 
 
 def selection_loss_and_grad(problem: SelectionProblem, q):
@@ -89,7 +93,7 @@ def selection_loss_and_grad(problem: SelectionProblem, q):
 
     idx = bin_index(problem.cand_homophily, problem.n_bins)
     mass = np.bincount(idx, weights=q, minlength=problem.n_bins)
-    kl_val, kl_mass_grad = kl_divergence_with_grad(mass, problem.target.counts, KL_EPS)
+    kl_val, kl_mass_grad = kl_divergence_with_grad(mass, problem.target, KL_EPS)
 
     excess = q.sum() - problem.k
     penalty = max(0.0, excess)

@@ -15,8 +15,7 @@ import pytest
 from hcgst.cli import main as cli_main
 from hcgst.graph import (build_graph, k_hop_adjacency, make_partition,
                          save_graph_dir, true_homophily_profile)
-from hcgst.homophily import (HomophilyDistribution, TargetDistribution,
-                             estimate_homophily_profile, target_distribution)
+from hcgst.homophily import estimate_homophily_profile, target_distribution
 from hcgst.metrics import CmdConfig, cmd, kl_divergence
 from hcgst.model import (TrainConfig, gradient_check, init_params, predict,
                          train_dual)
@@ -64,8 +63,7 @@ def _partition_for(graph, seed, n_val):
 
 
 def _run(graph, variant, seed, n_val, stages=10):
-    cfg = RunConfig(variant=variant, seed=seed, stages=stages,
-                    train=TrainConfig(seed=seed))
+    cfg = RunConfig(variant=variant, seed=seed, stages=stages)
     return run_self_training(graph, _partition_for(graph, seed, n_val), cfg)
 
 
@@ -153,13 +151,13 @@ def test_criterion_03_target_distribution_oracle():
             local = rng.integers(0, 12, size=n_bins).astype(float)
             k = int(rng.integers(1, 25))
 
-            out = target_distribution(HomophilyDistribution(n_bins, g_counts), local, k)
+            out = target_distribution(g_counts, local, k)
 
             total_g = g_counts.sum()
             budget = k + local.sum()
             expected = [max(math.ceil(g_counts[i] / total_g * budget - local[i]), 0.0)
                         for i in range(n_bins)]
-            assert out.counts.tolist() == expected
+            assert out.tolist() == expected
     except BaseException:
         _fail_line(3, desc, t0)
         raise
@@ -191,8 +189,7 @@ def test_criterion_04_gradient_fidelity():
             g = build_graph(edges, rng.standard_normal((8, 3)),
                             rng.integers(0, 2, size=8))
             params = init_params(3, 4, 2, seed=seed)
-            err = gradient_check(params, g, TrainConfig(lambda_dual=0.09,
-                                                        weight_decay=5e-4, seed=seed))
+            err = gradient_check(params, g, TrainConfig(weight_decay=5e-4), lambda_dual=0.09)
             assert err <= 1e-4
 
         for seed in range(5):
@@ -202,7 +199,7 @@ def test_criterion_04_gradient_fidelity():
                 candidates=np.arange(m), cand_repr=rng.standard_normal((m, 3)),
                 global_repr=rng.standard_normal((30, 3)),
                 cand_homophily=rng.random(m),
-                target=TargetDistribution(rng.integers(0, 4, size=10).astype(float)),
+                target=rng.integers(0, 4, size=10).astype(float),
                 k=3, lambda_s=2.0, n_bins=10)
             q = rng.uniform(0.05, 0.95, size=m)
             _, grad, _ = selection_loss_and_grad(problem, q)
@@ -227,7 +224,7 @@ def test_criterion_05_selection_quality_oracle():
                 candidates=np.arange(m), cand_repr=rng.standard_normal((m, 3)),
                 global_repr=rng.standard_normal((40, 3)),
                 cand_homophily=rng.random(m),
-                target=TargetDistribution(rng.integers(0, k + 2, size=10).astype(float)),
+                target=rng.integers(0, k + 2, size=10).astype(float),
                 k=k, lambda_s=2.0, n_bins=10)
             q = optimize_selection(problem).q
             chosen = top_k(q, k, problem.candidates, np.full(m, 0.5))
@@ -321,7 +318,7 @@ def test_criterion_09_inference_independence(fixture_graph):
         params = train_dual(init_params(fixture_graph.d, 32, fixture_graph.c, 0),
                             fixture_graph, view,
                             (labeled, fixture_graph.labels[labeled]), EMPTY, EMPTY,
-                            TrainConfig(epochs=50, seed=0))
+                            TrainConfig(epochs=50), lambda_dual=0.09)
         base = predict(params, view, fixture_graph.features)
         params.w_pseudo[:] = np.random.default_rng(99).standard_normal(params.w_pseudo.shape) * 1e3
         after = predict(params, view, fixture_graph.features)

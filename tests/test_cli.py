@@ -1,7 +1,10 @@
 import csv
 import json
 
+import pytest
+
 from hcgst.cli import SWEEP_GRIDS, main
+from hcgst.orchestrator import RunConfig
 
 
 def _generate(tmp_path, name="g", n=80, seed=5):
@@ -60,6 +63,27 @@ def test_run_writes_reports_and_aggregate(tmp_path):
     assert all(r["n_seeds"] == "2" for r in rows)
     assert (out / "stages.csv").exists()
     assert (out / "bins.csv").exists()
+
+
+def test_run_without_tuning_flags_records_dataclass_defaults(tmp_path):
+    graph = _generate(tmp_path)
+    out = tmp_path / "defaults"
+    assert main(["run", "--graph", str(graph), "--out", str(out), "--variant", "backbone_only",
+                 "--seed", "4", "--repeat", "2", "--label-rate", "0.1", "--val-fraction", "0.1"]) == 0
+    for seed in (4, 5):
+        doc = json.loads((out / f"run_backbone_only_{seed}.json").read_text())
+        assert doc["config"] == RunConfig(variant="backbone_only", seed=seed).to_dict()
+
+
+def test_run_help_shows_dataclass_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    defaults = RunConfig().to_dict()
+    defaults.update(defaults.pop("train"))
+    del defaults["k_per_stage"]  # None: the labeled-set size, said in words
+    for name, value in defaults.items():
+        assert f"(default {value})" in text, name
 
 
 def test_run_repeat_is_bit_identical_apart_from_timestamp(tmp_path):

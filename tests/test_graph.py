@@ -48,6 +48,14 @@ def _reference_neighbor_lists(n, edges):
     return [np.array(sorted(nb), dtype=np.int64) for nb in adj]
 
 
+def _reference_edges(pairs):
+    # the row-sort dedupe the one-key sort replaced
+    p = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    p = p[p[:, 0] != p[:, 1]]
+    lo, hi = np.minimum(p[:, 0], p[:, 1]), np.maximum(p[:, 0], p[:, 1])
+    return np.unique(np.stack([lo, hi], axis=1), axis=0) if p.size else np.empty((0, 2), dtype=np.int64)
+
+
 @st.composite
 def _edge_lists(draw):
     n = draw(st.integers(0, 12))
@@ -63,6 +71,9 @@ def _edge_lists(draw):
 def test_neighbor_lists_match_append_loop(case):
     n, pairs = case
     g = _graph(pairs, n=n)
+    want_edges = _reference_edges(pairs)
+    assert g.edges.dtype == want_edges.dtype and g.edges.flags.c_contiguous
+    assert np.array_equal(g.edges, want_edges)
     ref = _reference_neighbor_lists(n, g.edges.tolist())
     assert g.adj.shape == (n, n)
     for v, want in enumerate(ref):

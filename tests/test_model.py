@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hcgst.graph import build_graph, k_hop_adjacency
 from hcgst.model import (TrainConfig, dual_loss_and_grads, forward,
                          gradient_check, init_params, load_params, predict,
-                         save_params, soft_labels, softmax_rows, train_dual,
+                         save_params, softmax_rows, train_dual,
                          training_rows)
 
 EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -57,9 +57,9 @@ def test_softmax_examples():
     assert ln2 == pytest.approx([2 / 3, 1 / 3])
 
 
-def test_soft_labels_rejects_non_finite():
+def test_softmax_rows_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
-        soft_labels(np.array([[np.inf, 0.0]]))
+        softmax_rows(np.array([[np.inf, 0.0]]))
 
 
 def test_soft_rows_sum_to_one():
@@ -175,8 +175,8 @@ def test_training_loss_decreases_on_two_blob_graph():
     idx = np.arange(20)
 
     def loss_after(epochs):
-        cfg = TrainConfig(epochs=epochs, learning_rate=0.01, weight_decay=0.0, seed=6)
-        trained = train_dual(init_params(3, 8, 4, 6), g, view, (idx, g.labels), EMPTY, EMPTY, cfg)
+        cfg = TrainConfig(epochs=epochs, learning_rate=0.01, weight_decay=0.0)
+        trained = train_dual(init_params(3, 8, 4, 6), g, view, (idx, g.labels), EMPTY, EMPTY, cfg, 0.09)
         val, _, _ = dual_loss_and_grads(trained, training_rows(view, g.features, idx, g.labels,
                                                                EMPTY[0], EMPTY[1]), 0.0, 0.0)
         return val
@@ -189,14 +189,14 @@ def test_train_rejects_empty_clean_set():
     g = _two_blob_graph()
     with pytest.raises(ValueError, match="non-empty"):
         train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), EMPTY, EMPTY, EMPTY,
-                   TrainConfig(epochs=1))
+                   TrainConfig(epochs=1), 0.09)
 
 
 def test_train_rejects_label_out_of_range():
     g = _two_blob_graph()
     with pytest.raises(ValueError, match="outside"):
         train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1),
-                   (np.array([0]), np.array([9])), EMPTY, EMPTY, TrainConfig(epochs=1))
+                   (np.array([0]), np.array([9])), EMPTY, EMPTY, TrainConfig(epochs=1), 0.09)
 
 
 def test_train_rejects_overlapping_sets():
@@ -204,12 +204,12 @@ def test_train_rejects_overlapping_sets():
     pair = (np.array([0, 1]), g.labels[:2])
     with pytest.raises(ValueError, match="disjoint"):
         train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), pair, pair, EMPTY,
-                   TrainConfig(epochs=1))
+                   TrainConfig(epochs=1), 0.09)
 
 
-def _reference_single_head(graph, view, nodes, y, cfg, hidden):
+def _reference_single_head(graph, view, nodes, y, cfg, hidden, seed):
     """Independent plain supervised trainer; must match train_dual bit for bit."""
-    init = init_params(graph.d, hidden, graph.c, cfg.seed)
+    init = init_params(graph.d, hidden, graph.c, seed)
     w = {"w1": init.w1.copy(), "w2": init.w2.copy(), "w_main": init.w_main.copy()}
     m = {k: np.zeros_like(v) for k, v in w.items()}
     v = {k: np.zeros_like(val) for k, val in w.items()}
@@ -245,10 +245,10 @@ def test_dual_with_zero_lambda_bit_identical_to_single_head():
     g = _two_blob_graph(seed=2)
     view = k_hop_adjacency(g, 1)
     nodes = np.arange(0, 20, 2)
-    cfg = TrainConfig(epochs=40, learning_rate=0.01, lambda_dual=0.0, weight_decay=5e-4, seed=11)
+    cfg = TrainConfig(epochs=40, learning_rate=0.01, weight_decay=5e-4)
     trained = train_dual(init_params(3, 6, 4, 11), g, view, (nodes, g.labels[nodes]),
-                         EMPTY, EMPTY, cfg)
-    ref = _reference_single_head(g, view, nodes, g.labels[nodes], cfg, hidden=6)
+                         EMPTY, EMPTY, cfg, lambda_dual=0.0)
+    ref = _reference_single_head(g, view, nodes, g.labels[nodes], cfg, hidden=6, seed=11)
     assert np.array_equal(trained.w1, ref["w1"])
     assert np.array_equal(trained.w2, ref["w2"])
     assert np.array_equal(trained.w_main, ref["w_main"])
@@ -259,12 +259,13 @@ def test_best_epoch_selection_uses_validation():
     view = k_hop_adjacency(g, 1)
     nodes = np.arange(0, 20, 2)
     val = (np.arange(1, 20, 4), g.labels[1:20:4])
-    cfg = TrainConfig(epochs=60, learning_rate=0.02, weight_decay=0.0, seed=1)
+    cfg = TrainConfig(epochs=60, learning_rate=0.02, weight_decay=0.0)
     best = train_dual(init_params(3, 6, 4, 1), g, view, (nodes, g.labels[nodes]), EMPTY, EMPTY,
-                      cfg, validation=val)
+                      cfg, 0.09, validation=val)
     preds = predict(best, view, g.features)
     acc_best = np.mean(preds[val[0]] == val[1])
-    final = train_dual(init_params(3, 6, 4, 1), g, view, (nodes, g.labels[nodes]), EMPTY, EMPTY, cfg)
+    final = train_dual(init_params(3, 6, 4, 1), g, view, (nodes, g.labels[nodes]), EMPTY, EMPTY,
+                       cfg, 0.09)
     acc_final = np.mean(predict(final, view, g.features)[val[0]] == val[1])
     assert acc_best >= acc_final
 
@@ -339,8 +340,21 @@ def test_gradient_check_tiny_instances(lam):
     g = _graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], n=5, d=3, seed=8,
                labels=[0, 1, 0, 1, 1])
     params = init_params(3, 4, 2, seed=5)
-    err = gradient_check(params, g, TrainConfig(lambda_dual=lam, weight_decay=5e-4, seed=5))
+    err = gradient_check(params, g, TrainConfig(weight_decay=5e-4), lambda_dual=lam)
     assert err <= 1e-4
+
+
+def test_gradient_check_rejects_unlabelled_graph():
+    g = _graph([(0, 1), (1, 2)], n=3)
+    with pytest.raises(ValueError, match="labelled"):
+        gradient_check(init_params(3, 4, 2, seed=0), g, TrainConfig(), lambda_dual=0.09)
+
+
+def test_train_rejects_negative_lambda_dual():
+    g = _two_blob_graph()
+    with pytest.raises(ValueError, match="lambda_dual"):
+        train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), (np.array([0]), g.labels[:1]),
+                   EMPTY, EMPTY, TrainConfig(epochs=1), -0.1)
 
 
 def test_gradient_finite_at_zero_params():

@@ -27,7 +27,7 @@ def _partition(graph, seed=0, n_val=20):
 
 
 def _cfg(**kw):
-    train = TrainConfig(**FAST_TRAIN, seed=kw.get("seed", 0))
+    train = TrainConfig(**FAST_TRAIN)
     base = dict(stages=3, hidden=16, seed=0, train=train)
     base.update(kw)
     return RunConfig(**base)
@@ -106,7 +106,7 @@ def test_backbone_only_reports_zero_deltas(small_graph):
 
 def test_no_candidates_degenerates_to_backbone(small_graph):
     # short training keeps every softmax below the near-one threshold
-    gentle = TrainConfig(epochs=30, learning_rate=0.005, seed=0)
+    gentle = TrainConfig(epochs=30, learning_rate=0.005)
     degenerate = run_self_training(small_graph, _partition(small_graph),
                              _cfg(stages=1, delta_c=0.999, variant="hcgst", train=gentle))
     backbone = run_self_training(small_graph, _partition(small_graph),
@@ -171,6 +171,19 @@ def test_hcgst_trains_pseudo_head_when_leftovers_exist(small_graph):
     if candidates_beyond_k and rep.best_stage > 0:
         fresh = init_params(small_graph.d, cfg.hidden, small_graph.c, cfg.seed)
         assert not np.array_equal(rep.params.w_pseudo, fresh.w_pseudo)
+
+
+def test_empty_candidate_stages_keep_model_and_cost_patience(small_graph):
+    # short training keeps every softmax below the near-one threshold
+    cfg = _cfg(stages=4, delta_c=0.999, train=TrainConfig(epochs=30, learning_rate=0.005))
+    labeled = sample_training_set(small_graph, 0.08, "representative", 10, 0)
+    no_val = run_self_training(small_graph, make_partition(small_graph.n, labeled, []), cfg)
+    assert [s.n_candidates for s in no_val.stage_reports] == [0, 0, 0, 0]
+    assert no_val.best_stage == 0 and no_val.final_pseudo_count == 0
+    with_val = run_self_training(small_graph, _partition(small_graph), cfg)
+    assert len(with_val.stage_reports) == 2  # two stages without improvement end the run
+    assert with_val.best_stage == 0
+    assert all(s.val_acc == with_val.val_acc for s in with_val.stage_reports)
 
 
 def test_stage_reports_within_budget(small_graph):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hcgst.homophily import TargetDistribution, bin_distribution
+from hcgst.homophily import bin_distribution, target_distribution
 from hcgst.selection import (PgdConfig, SelectionProblem, candidate_set,
                              optimize_selection, selection_bin_mass,
                              selection_loss_and_grad, top_k)
@@ -12,10 +14,36 @@ def _random_problem(seed, m=8, k=3, r=3, lambda_s=1.0, n_bins=5):
     cand_repr = rng.standard_normal((m, r))
     global_repr = rng.standard_normal((4 * m, r))
     hh = rng.random(m)
-    target = TargetDistribution(rng.integers(0, k + 1, size=n_bins).astype(float))
+    target = rng.integers(0, k + 1, size=n_bins).astype(float)
     return SelectionProblem(candidates=np.arange(m, dtype=np.int64), cand_repr=cand_repr,
                             global_repr=global_repr, cand_homophily=hh, target=target,
                             k=k, lambda_s=lambda_s, n_bins=n_bins)
+
+
+def test_problem_rejects_target_of_wrong_length():
+    with pytest.raises(ValueError, match="shape"):
+        replace(_random_problem(0), target=np.ones(4))
+
+
+def test_problem_rejects_negative_target_entry():
+    with pytest.raises(ValueError, match="non-negative"):
+        replace(_random_problem(0), target=np.array([1.0, 0.0, -1.0, 2.0, 0.0]))
+
+
+def test_single_bin_end_to_end():
+    rng = np.random.default_rng(11)
+    hh = rng.random(30)
+    target = target_distribution(bin_distribution(hh, 1), bin_distribution(hh[:5], 1), k=4)
+    assert target.tolist() == [4.0]
+    cands = np.arange(10, 30)
+    problem = SelectionProblem(candidates=cands, cand_repr=rng.standard_normal((20, 3)),
+                               global_repr=rng.standard_normal((30, 3)), cand_homophily=hh[10:],
+                               target=target, k=4, lambda_s=2.0, n_bins=1)
+    q = optimize_selection(problem).q
+    assert np.all((q >= 0.0) & (q <= 1.0))
+    assert selection_loss_and_grad(problem, q)[2]["kl"] == 0.0  # one bin: P and target agree
+    chosen = top_k(q, 4, cands, np.full(20, 0.9))
+    assert chosen.size == 4 and np.all(np.isin(chosen, cands))
 
 
 def test_candidate_set_uniform_soft_is_empty():
@@ -46,25 +74,25 @@ def test_bin_mass_all_ones_matches_integer_binning():
     rng = np.random.default_rng(2)
     hh = rng.random(40)
     mass = selection_bin_mass(np.ones(40), hh, 10)
-    assert mass.counts.tolist() == bin_distribution(hh, 10).counts.tolist()
+    assert mass.tolist() == bin_distribution(hh, 10).tolist()
 
 
 def test_bin_mass_zeros():
-    assert selection_bin_mass(np.zeros(5), np.linspace(0, 1, 5), 10).total == 0.0
+    assert selection_bin_mass(np.zeros(5), np.linspace(0, 1, 5), 10).sum() == 0.0
 
 
 def test_bin_mass_hand_fixture():
     mass = selection_bin_mass([0.3, 0.7], [0.05, 0.95], 10)
     expected = [0.3, 0, 0, 0, 0, 0, 0, 0, 0, 0.7]
-    assert mass.counts.tolist() == expected
+    assert mass.tolist() == expected
 
 
 def test_bin_mass_linear_in_q():
     rng = np.random.default_rng(6)
     hh = rng.random(20)
     q = rng.random(20)
-    base = selection_bin_mass(q, hh, 8).counts
-    scaled = selection_bin_mass(0.25 * q, hh, 8).counts
+    base = selection_bin_mass(q, hh, 8)
+    scaled = selection_bin_mass(0.25 * q, hh, 8)
     assert np.allclose(scaled, 0.25 * base, atol=1e-12)
 
 
@@ -92,7 +120,7 @@ def test_optimize_full_selection_when_target_consistent():
     rng = np.random.default_rng(3)
     cand_repr = rng.standard_normal((5, 2))
     hh = rng.random(5)
-    target = TargetDistribution(bin_distribution(hh, 5).counts)
+    target = bin_distribution(hh, 5)
     problem = SelectionProblem(candidates=np.arange(5), cand_repr=cand_repr,
                                global_repr=cand_repr, cand_homophily=hh,
                                target=target, k=5, lambda_s=2.0, n_bins=5)
@@ -102,7 +130,7 @@ def test_optimize_full_selection_when_target_consistent():
 
 def test_lambda_zero_removes_kl_gradient():
     base = _random_problem(4, lambda_s=0.0)
-    other_target = TargetDistribution(np.arange(5, dtype=float))
+    other_target = np.arange(5, dtype=float)
     swapped = SelectionProblem(candidates=base.candidates, cand_repr=base.cand_repr,
                                global_repr=base.global_repr, cand_homophily=base.cand_homophily,
                                target=other_target, k=base.k, lambda_s=0.0, n_bins=5)
