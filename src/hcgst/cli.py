@@ -48,6 +48,18 @@ _RUN_DEFAULTS = {
     "repeat": 1, "label_rate": 0.02, "bias_mode": "representative", "val_fraction": 0.05,
     "jobs": 1, "graph": None, "out": None,
 }
+_NONE_DEFAULT_TYPES = {"k": int, "graph": str, "out": str}
+
+
+def _check_config_value(key: str, value):
+    """Type of one --config value: that of its default; an int passes for a float."""
+    if value is None and _RUN_DEFAULTS[key] is None:
+        return value
+    expected = _NONE_DEFAULT_TYPES.get(key, type(_RUN_DEFAULTS[key]))
+    allowed = (int, float) if expected is float else expected
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        raise ValueError(f"config key {key!r} must be {expected.__name__}, got {value!r}")
+    return float(value) if expected is float else value
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -82,7 +94,8 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help=f"Adam step (default {d['learning_rate']})")
     p.add_argument("--weight-decay", type=float, dest="weight_decay",
                    help=f"L2 strength (default {d['weight_decay']})")
-    p.add_argument("--jobs", type=int, help=f"parallel runs (default {d['jobs']})")
+    p.add_argument("--jobs", type=int,
+                   help=f"runs in parallel, one core each (default {d['jobs']})")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
@@ -93,7 +106,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(_RUN_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        opts.update(loaded)
+        opts.update({key: _check_config_value(key, value) for key, value in loaded.items()})
     for key in _RUN_DEFAULTS:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
@@ -102,6 +115,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
         raise ValueError("--graph is required (flag or config file)")
     if not opts["out"]:
         raise ValueError("--out is required (flag or config file)")
+    if opts["jobs"] < 1:
+        raise ValueError(f"jobs must be >= 1, got {opts['jobs']}")
     return opts
 
 

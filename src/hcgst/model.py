@@ -4,16 +4,25 @@ Two rounds of symmetric-normalized aggregation form the feature extractor;
 a main head produces the classification logits and an auxiliary pseudo head
 (used only during training) shares the extractor. Gradients are computed by
 hand and training is full-batch Adam, so runs are bit-reproducible from a
-seed.
+seed. Training runs on one OpenBLAS thread, so the bits do not depend on the
+core count either; under a numpy without a bundled OpenBLAS the library's own
+threading applies and may change the last bits of large runs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import logging
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+
+logger = logging.getLogger(__name__)
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
@@ -56,6 +65,45 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    logger.debug("no OpenBLAS library under %s; BLAS threading left as it is", libdir)
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the caller's count after.
+
+    With two threads OpenBLAS splits the row sums of ``x.T @ y`` differently
+    than with one once n reaches a few thousand, and its second thread spins on
+    the small training products without shortening them. Nested entries are
+    harmless; without an OpenBLAS handle this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def init_params(d: int, hidden: int, c: int, seed: int) -> ModelParams:
@@ -104,10 +152,13 @@ def predict(params: ModelParams, view, features) -> np.ndarray:
 
 
 def _cross_entropy_rows(logits_rows, y):
+    if not np.all(np.isfinite(logits_rows)):
+        raise ValueError("logits contain non-finite entries")
     shifted = logits_rows - logits_rows.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    losses = log_z - shifted[np.arange(len(y)), y]
-    grad_rows = softmax_rows(logits_rows)
+    e = np.exp(shifted)
+    z = e.sum(axis=1)
+    losses = np.log(z) - shifted[np.arange(len(y)), y]
+    grad_rows = e / z[:, None]  # softmax_rows(logits_rows), bit for bit
     grad_rows[np.arange(len(y)), y] -= 1.0
     return float(losses.mean()), grad_rows / len(y)
 
@@ -186,8 +237,8 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     d_wm = h.T @ dzm + weight_decay * params.w_main
     d_w2 = x2.T @ dh + weight_decay * params.w2
     dact1 = rows.a_rows.T @ (dh @ params.w2.T)
-    dpre1 = dact1 * (pre1 > 0)
-    d_w1 = rows.x1.T @ dpre1 + weight_decay * params.w1
+    np.multiply(dact1, pre1 > 0, out=dact1)  # ReLU backward, in place
+    d_w1 = rows.x1.T @ dact1 + weight_decay * params.w1
 
     loss += 0.5 * weight_decay * (np.sum(params.w1**2) + np.sum(params.w2**2) + np.sum(params.w_main**2))
     grads = {"w1": d_w1, "w2": d_w2, "w_main": d_wm, "w_pseudo": d_wp}
@@ -204,6 +255,7 @@ def _check_label_sets(name, nodes, labels, c):
     return nodes, labels
 
 
+@_one_blas_thread()
 def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_labels,
                leftover_with_labels, cfg: TrainConfig, lambda_dual: float,
                validation=None) -> ModelParams:

@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .graph import Graph, NodePartition, k_hop_adjacency, true_homophily_profile
-from .homophily import bin_distribution, estimate_homophily_profile, target_distribution
+from .homophily import bin_distribution, bin_index, estimate_homophily_profile, target_distribution
 from .metrics import CmdConfig, cmd, kl_divergence
-from .model import TrainConfig, forward, init_params, train_dual
+from .model import TrainConfig, _one_blas_thread, forward, init_params, train_dual
 from .pseudolabel import mix_outputs, assign_pseudo_labels
 from .selection import (PgdConfig, SelectionProblem, candidate_set, optimize_selection, top_k)
 
@@ -134,19 +134,13 @@ class RunReport:
 
 def per_bin_accuracy(predictions, truth, true_homophily, n_bins: int, test_set) -> np.ndarray:
     """Accuracy among test nodes per true-homophily bin; NaN flags empty bins."""
-    from .homophily import bin_index
-
-    predictions = np.asarray(predictions)
-    truth = np.asarray(truth)
     test_set = np.asarray(test_set, dtype=np.int64)
     idx = bin_index(np.asarray(true_homophily)[test_set], n_bins)
-    correct = predictions[test_set] == truth[test_set]
-    out = np.full(n_bins, np.nan)
-    for b in range(n_bins):
-        members = idx == b
-        if members.any():
-            out[b] = float(np.mean(correct[members]))
-    return out
+    correct = np.asarray(predictions)[test_set] == np.asarray(truth)[test_set]
+    sizes = np.bincount(idx, minlength=n_bins)
+    # both counts are exact in float64, so the division equals np.mean of the bools
+    return np.divide(np.bincount(idx, weights=correct, minlength=n_bins), sizes,
+                     out=np.full(n_bins, np.nan), where=sizes > 0)
 
 
 def bias_metrics(acc_st_bins, acc_backbone_bins):
@@ -196,12 +190,14 @@ def _accuracy(predictions, truth, idx) -> float:
     return float(np.mean(np.asarray(predictions)[idx] == np.asarray(truth)[idx]))
 
 
+@_one_blas_thread()
 def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) -> RunReport:
     """Execute the full self-training workflow and report per-stage and per-bin results.
 
     The partition is copied, never mutated. Stages stop early when validation
     accuracy fails to improve for two consecutive stages; with an empty
-    validation set every stage runs and the last model wins.
+    validation set every stage runs and the last model wins. The run uses one
+    BLAS thread; ``hcgst run --jobs`` spreads whole runs over cores.
     """
     if graph.labels is None:
         raise ValueError("self-training requires ground-truth labels for the labeled set")
@@ -234,7 +230,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     out = forward(params, view1, x)
     backbone_preds = np.argmax(out.logits, axis=1)
     val_acc = _accuracy(backbone_preds, y_true, part.validation)
-    test_acc = _accuracy(backbone_preds, y_true, test_set)
 
     true_profile = true_homophily_profile(graph)
     global_true = bin_distribution(true_profile, n_bins)

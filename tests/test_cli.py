@@ -156,6 +156,32 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert main(["run", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("bad", [{"epochs": "30"}, {"stages": True}, {"lambda_d": "x"},
+                                 {"jobs": None}, {"graph": 3}])
+def test_config_rejects_wrong_value_types(tmp_path, capsys, bad):
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"graph": "g", "out": "o", **bad}))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert f"config key {next(iter(bad))!r}" in capsys.readouterr().err
+
+
+def test_config_accepts_int_for_float_option(tmp_path):
+    graph = _generate(tmp_path)
+    cfg_path = tmp_path / "spec.json"
+    cfg_path.write_text(json.dumps({"lambda_d": 1, "k": None}))
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(cfg_path), "--graph", str(graph), "--out", str(out),
+                 *RUN_ARGS]) == 0
+    lambda_d = _strip_timestamp(out / "run_hcgst_0.json")["config"]["lambda_d"]
+    assert lambda_d == 1.0 and isinstance(lambda_d, float)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    assert main(["run", "--graph", "g", "--out", str(tmp_path / "o"), "--jobs", jobs]) == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+
+
 def test_sweep_default_grids():
     assert len(SWEEP_GRIDS["lambda_s"]) == 8
     assert SWEEP_GRIDS["lambda_s"][0] == 1.3 and SWEEP_GRIDS["lambda_s"][-1] == 2.7

@@ -1,13 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hcgst.graph import build_graph, k_hop_adjacency
-from hcgst.model import (TrainConfig, dual_loss_and_grads, forward,
-                         gradient_check, init_params, load_params, predict,
-                         save_params, softmax_rows, train_dual,
+from hcgst.graph import build_graph, k_hop_adjacency, make_partition
+from hcgst.model import (TrainConfig, _cross_entropy_rows, _openblas_thread_calls,
+                         dual_loss_and_grads, forward, gradient_check, init_params,
+                         load_params, predict, save_params, softmax_rows, train_dual,
                          training_rows)
+from hcgst.orchestrator import RunConfig, run_self_training
+from hcgst.synth import SynthConfig, generate_graph
 
 EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
@@ -385,3 +390,94 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTAMODEL" + b"\0" * 64)
     with pytest.raises(ValueError, match="magic"):
         load_params(path)
+
+
+def _two_exp_cross_entropy(logits_rows, y):
+    # the cross entropy as it was before the fused version, which must match it bit for bit
+    shifted = logits_rows - logits_rows.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=1))
+    losses = log_z - shifted[np.arange(len(y)), y]
+    grad_rows = softmax_rows(logits_rows)
+    grad_rows[np.arange(len(y)), y] -= 1.0
+    return float(losses.mean()), grad_rows / len(y)
+
+
+@st.composite
+def _logit_rows(draw):
+    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    finite = st.floats(-1e300, 1e300) | st.floats(-50, 50)
+    elements = finite | st.sampled_from([np.nan, np.inf, -np.inf]) if draw(st.booleans()) else finite
+    logits = draw(arrays(np.float64, (r, c), elements=elements))
+    return logits, np.array(draw(st.lists(st.integers(0, c - 1), min_size=r, max_size=r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logit_rows())
+def test_fused_cross_entropy_equals_two_exp_version(problem):
+    logits, y = problem
+    with np.errstate(all="ignore"):
+        try:
+            want = _two_exp_cross_entropy(logits, y)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                _cross_entropy_rows(logits, y)
+            return
+    loss, grad = _cross_entropy_rows(logits, y)
+    assert loss == want[0]
+    assert np.array_equal(grad, want[1])
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of numpy's OpenBLAS thread count; the caller's count is put back after."""
+    calls = _openblas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy has no bundled OpenBLAS, so training does not pin its threads")
+    get, set_ = calls
+    before = get()
+    yield get, set_
+    set_(before)
+
+
+def _set_two_threads(get, set_):
+    set_(2)
+    if get() != 2:
+        pytest.skip("OpenBLAS runs at most one thread on this host")
+
+
+def _large_training_problem():
+    # n >= 2k: from here on, two OpenBLAS threads split the sums of x.T @ y differently than one
+    g = generate_graph(SynthConfig(n=2000, seed=3))
+    order = np.random.default_rng(3).permutation(g.n)
+    main, left, val = order[:40], order[40:1240], order[1240:1340]
+    return g, ((main, g.labels[main]), EMPTY, (left, g.labels[left])), (val, g.labels[val])
+
+
+def test_train_dual_bits_do_not_depend_on_caller_blas_threads(blas_threads):
+    get, set_ = blas_threads
+    g, train_sets, val = _large_training_problem()
+    view = k_hop_adjacency(g, 1)
+    _set_two_threads(get, set_)
+    trained = []
+    for threads in (2, 1):
+        set_(threads)
+        trained.append(train_dual(init_params(g.d, 32, g.c, 0), g, view, *train_sets,
+                                  TrainConfig(epochs=5), 0.09, validation=val))
+    for key, mat in trained[0].matrices().items():
+        assert np.array_equal(mat, trained[1].matrices()[key]), key
+
+
+def test_blas_thread_count_is_restored(blas_threads):
+    get, set_ = blas_threads
+    _set_two_threads(get, set_)
+    g, train_sets, val = _large_training_problem()
+    view = k_hop_adjacency(g, 1)
+    train_dual(init_params(g.d, 8, g.c, 0), g, view, *train_sets, TrainConfig(epochs=2), 0.09)
+    assert get() == 2
+    with pytest.raises((RuntimeError, ValueError)), np.errstate(all="ignore"):
+        train_dual(init_params(g.d, 8, g.c, 0), g, view, *train_sets,
+                   TrainConfig(epochs=50, learning_rate=1e200), 0.09)
+    assert get() == 2
+    partition = make_partition(g.n, train_sets[0][0], val[0])
+    run_self_training(g, partition, RunConfig(stages=1, train=TrainConfig(epochs=2)))
+    assert get() == 2
