@@ -3,8 +3,9 @@
 
 Trains a backbone on a heterophily-biased labeled set, forms the
 high-confidence candidate set, computes the per-bin target quotas, optimizes
-the selection vector against CMD + KL + cardinality, and compares the chosen
-pseudo-nodes' homophily bins against a pure confidence top-K.
+the selection vector against CMD + KL within the budget |q|_1 <= K, and
+compares the chosen pseudo-nodes' homophily bins against a pure confidence
+top-K.
 """
 
 import numpy as np
@@ -51,7 +52,7 @@ loss0 = selection_loss_and_grad(problem, q0)[0]
 qvec = optimize_selection(problem, PgdConfig())
 loss1, _, terms = selection_loss_and_grad(problem, qvec.q)
 print(f"\nselection loss: {loss0:.3f} at init -> {loss1:.3f} after optimization "
-      f"(cmd {terms['cmd']:.3f}, kl {terms['kl']:.3f}, penalty {terms['penalty']:.3f})")
+      f"(cmd {terms['cmd']:.3f}, kl {terms['kl']:.3f}; |q|_1 {qvec.q.sum():.2f} <= K = {k})")
 
 mass = selection_bin_mass(qvec.q, est_h[cands], 10)
 scaled = mass / mass.sum() * target.sum()

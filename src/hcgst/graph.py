@@ -46,12 +46,15 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     edge and self-loops are dropped. The node count is the feature row count.
 
     Raises ValueError naming the offending record index for out-of-range
-    endpoints or a label-length mismatch.
+    endpoints, non-finite features or a label-length mismatch.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a 2-d matrix (n rows, d columns)")
     n, d = features.shape
+    bad_row = np.nonzero(~np.isfinite(features).all(axis=1))[0]
+    if bad_row.size:
+        raise ValueError(f"feature row {int(bad_row[0])} has a non-finite entry")
 
     pairs = np.asarray(edge_pairs, dtype=np.int64).reshape(-1, 2)
     bad = np.nonzero((pairs < 0) | (pairs >= n))[0]

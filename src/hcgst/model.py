@@ -216,6 +216,9 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     """
     pre1, x2, h = _extract_rows(params, rows)
     zm = h @ params.w_main
+    zp = h @ params.w_pseudo
+    if not (np.all(np.isfinite(zm)) and np.all(np.isfinite(zp))):
+        raise RuntimeError("training logits became non-finite")  # the parameters diverged
 
     r, c = zm.shape
     loss_main, d_rows = _cross_entropy_rows(zm[rows.main_pos], rows.main_y)
@@ -226,7 +229,6 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     d_wp = np.zeros_like(params.w_pseudo)
     dh = dzm @ params.w_main.T
     if len(rows.left_pos):
-        zp = h @ params.w_pseudo
         loss_pseudo, d_rows_p = _cross_entropy_rows(zp[rows.left_pos], rows.left_y)
         loss += lambda_dual * loss_pseudo
         dzp = np.zeros((r, c))
@@ -291,7 +293,7 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     state_v = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
     best = None  # (acc, params copy)
 
-    for epoch in range(cfg.epochs):
+    for epoch in range(cfg.epochs + 1):  # the last pass checks the final parameters, no step
         loss, grads, zm = dual_loss_and_grads(cur, rows, lambda_dual, cfg.weight_decay)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
@@ -299,6 +301,8 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
             acc = float(np.mean(np.argmax(zm[rows.val_pos], axis=1) == val_y))
             if best is None or acc >= best[0]:  # ties prefer the later, better-fitted epoch
                 best = (acc, cur.copy())
+        if epoch == cfg.epochs:
+            break
         t = epoch + 1
         mats = cur.matrices()
         for key, g in grads.items():
@@ -307,14 +311,7 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
             m_hat = state_m[key] / (1 - _ADAM_B1**t)
             v_hat = state_v[key] / (1 - _ADAM_B2**t)
             mats[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-
-    if val_idx is not None:
-        zm = _extract_rows(cur, rows)[2] @ cur.w_main
-        acc = float(np.mean(np.argmax(zm[rows.val_pos], axis=1) == val_y))
-        if best is None or acc >= best[0]:
-            best = (acc, cur.copy())
-        return best[1]
-    return cur
+    return cur if best is None else best[1]
 
 
 def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dual: float,

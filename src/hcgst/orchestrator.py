@@ -11,7 +11,7 @@ validation accuracy across stages is the final one.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -120,16 +120,11 @@ class RunReport:
     params: object = field(default=None, repr=False)  # model state, excluded from to_dict
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant, "seed": self.seed, "config": self.config,
-            "stages": [s.to_dict() for s in self.stage_reports],
-            "best_stage": self.best_stage, "val_acc": self.val_acc, "test_acc": self.test_acc,
-            "bin_report": self.bin_report.to_dict(),
-            "final_pseudo_count": self.final_pseudo_count,
-            "final_kl_true": self.final_kl_true, "final_kl_est": self.final_kl_est,
-            "pseudo_mean_est_h": self.pseudo_mean_est_h, "global_mean_est_h": self.global_mean_est_h,
-            "pseudo_mean_true_h": self.pseudo_mean_true_h, "global_mean_true_h": self.global_mean_true_h,
-        }
+        out = {k: getattr(self, k) for k in self.__dataclass_fields__
+               if k not in ("stage_reports", "bin_report", "params")}
+        out["stages"] = [s.to_dict() for s in self.stage_reports]
+        out["bin_report"] = self.bin_report.to_dict()
+        return out
 
 
 def per_bin_accuracy(predictions, truth, true_homophily, n_bins: int, test_set) -> np.ndarray:
@@ -222,11 +217,16 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
 
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    def fresh_params():
-        return init_params(graph.d, cfg.hidden, graph.c, cfg.seed)
+    def train(stage, pseudo_pair, leftover_pair):
+        # retraining always uses the one-hop view; multi-hop outputs only label
+        try:
+            return train_dual(init_params(graph.d, cfg.hidden, graph.c, cfg.seed), graph, view1,
+                              (part.labeled, y_true[part.labeled]), pseudo_pair, leftover_pair,
+                              cfg.train, lambda_dual, validation=val_pair)
+        except RuntimeError as err:
+            raise RuntimeError(f"training diverged at stage {stage}: {err}") from err
 
-    params = train_dual(fresh_params(), graph, view1, (part.labeled, y_true[part.labeled]),
-                        empty, empty, cfg.train, lambda_dual, validation=val_pair)
+    params = train(0, empty, empty)
     out = forward(params, view1, x)
     backbone_preds = np.argmax(out.logits, axis=1)
     val_acc = _accuracy(backbone_preds, y_true, part.validation)
@@ -292,13 +292,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
                 leftover_pair = empty
 
             pseudo_y = np.array([pseudo_label_of[int(v)] for v in part.pseudo], dtype=np.int64)
-            try:
-                # retraining always uses the one-hop view; multi-hop outputs only label
-                params = train_dual(fresh_params(), graph, view1, (part.labeled, y_true[part.labeled]),
-                                    (part.pseudo, pseudo_y), leftover_pair, cfg.train, lambda_dual,
-                                    validation=val_pair)
-            except RuntimeError as err:
-                raise RuntimeError(f"training diverged at stage {s}: {err}") from err
+            params = train(s, (part.pseudo, pseudo_y), leftover_pair)
             out = forward(params, view1, x)  # also the next stage's selection pass
 
         preds = np.argmax(out.logits, axis=1)
@@ -366,17 +360,11 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
 
 
 def stage_csv_rows(report: RunReport):
-    """Flat rows (one per stage) for stages.csv emission."""
-    header = ["variant", "seed", "stage", "n_selected", "n_candidates", "n_multi_hop",
-              "pseudo_mean_est_h", "pseudo_mean_true_h", "global_mean_est_h",
-              "kl_local_global_true", "kl_local_global_est", "cmd_global_local",
-              "val_acc", "test_acc"]
-    rows = []
-    for s in report.stage_reports:
-        rows.append([report.variant, report.seed, s.stage, len(s.selected), s.n_candidates,
-                     s.n_multi_hop, s.pseudo_mean_est_h, s.pseudo_mean_true_h,
-                     s.global_mean_est_h, s.kl_local_global_true, s.kl_local_global_est,
-                     s.cmd_global_local, s.val_acc, s.test_acc])
+    """Flat rows (one per stage) for stages.csv: n_selected and the scalar StageReport fields."""
+    scalars = [f.name for f in fields(StageReport) if f.type != "list" and f.name != "stage"]
+    header = ["variant", "seed", "stage", "n_selected", *scalars]
+    rows = [[report.variant, report.seed, s.stage, len(s.selected), *(getattr(s, k) for k in scalars)]
+            for s in report.stage_reports]
     return header, rows
 
 

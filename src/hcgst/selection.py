@@ -1,16 +1,19 @@
 """Distribution-consistent pseudo-node selection.
 
 Candidates are high-confidence unlabeled nodes. A relaxed selection vector
-q in [0,1]^|C| is optimized by projected gradient descent against
+q is optimized by projected gradient descent on
 
-    L_q = CMD(Z_global, q * Z_cand) + lambda_s * KL(bin_mass(q), target) + max(0, |q|_1 - K)
+    L_q = CMD(Z_global, q * Z_cand) + lambda_s * KL(bin_mass(q), target)
+    subject to q in [0,1]^|C| and |q|_1 <= K,
 
-and the K highest-ranked candidates become the stage's pseudo-nodes.
+the budget enforced by exact projection after every step, and the K
+highest-ranked candidates become the stage's pseudo-nodes.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +22,9 @@ from .homophily import bin_index
 from .metrics import CmdConfig, cmd_weighted_with_grad, kl_divergence_with_grad
 
 KL_EPS = 1e-8
+_BISECTIONS = 50  # shrink the projection threshold's bracket [0, max v] by 2^-50
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -87,74 +93,79 @@ def selection_bin_mass(q, cand_homophily, n_bins: int) -> np.ndarray:
 def selection_loss_and_grad(problem: SelectionProblem, q):
     """L_q, its gradient with respect to q, and the per-term breakdown."""
     q = np.asarray(q, dtype=np.float64)
-    if q.sum() <= 0:
-        raise RuntimeError("selection vector mass collapsed to zero; CMD term undefined")
     cmd_val, cmd_grad = cmd_weighted_with_grad(problem.cand_repr, q, problem.global_repr, problem.cmd_cfg)
 
     idx = bin_index(problem.cand_homophily, problem.n_bins)
     mass = np.bincount(idx, weights=q, minlength=problem.n_bins)
     kl_val, kl_mass_grad = kl_divergence_with_grad(mass, problem.target, KL_EPS)
 
-    excess = q.sum() - problem.k
-    penalty = max(0.0, excess)
-
-    loss = cmd_val + problem.lambda_s * kl_val + penalty
+    loss = cmd_val + problem.lambda_s * kl_val
     grad = cmd_grad + problem.lambda_s * kl_mass_grad[idx]
-    if excess > 0:
-        grad = grad + 1.0
-    terms = {"cmd": cmd_val, "kl": kl_val, "penalty": penalty}
-    return loss, grad, terms
+    return loss, grad, {"cmd": cmd_val, "kl": kl_val}
 
 
-def _check_finite(loss, terms, iteration):
-    if np.isfinite(loss):
-        return
-    diverged = [name for name, val in terms.items() if not np.isfinite(val)]
-    raise RuntimeError(f"selection loss non-finite at iteration {iteration}; diverged terms: {diverged}")
+def project_capped_simplex(v, k: float) -> np.ndarray:
+    """Euclidean projection of v onto {q in [0,1]^m : sum(q) <= k}: the clipped v
+    if that meets the budget, else clip(v - tau, 0, 1) with tau > 0 where the
+    sum is k (Wang & Lu, arXiv:1503.01002). The bisection on tau returns the
+    upper end of its bracket, so the sum never exceeds k."""
+    v = np.asarray(v, dtype=np.float64)
+    q = np.clip(v, 0.0, 1.0)
+    if q.sum() <= k:
+        return q
+    lo, hi = 0.0, float(v.max())  # the clipped sum exceeds k at lo and is 0 at hi
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, 1.0).sum() > k:
+            lo = mid
+        else:
+            hi = mid
+    return np.clip(v - hi, 0.0, 1.0)
 
 
 def optimize_selection(problem: SelectionProblem, opt_cfg: PgdConfig = PgdConfig(),
                        trace_path=None) -> SelectionVector:
-    """Projected gradient descent on L_q over the box [0,1]^|C|.
+    """Projected gradient descent on L_q subject to q in [0,1]^|C|, |q|_1 <= K.
 
-    Starts from the uniform q0 = min(K/|C|, 1) and clamps after every step.
-    Steps are normalized by the gradient's largest coordinate and decay as
-    1/sqrt(t), so no entry moves more than ``step_size`` per iteration; raw
-    fixed steps wipe out whole coordinate blocks or limit-cycle on the hinge
-    when the KL term's log-ratios dwarf the q scale. Returns the iterate with
-    the lowest observed loss (the initial point included). Optionally writes
-    a per-iteration CSV trace.
+    From the uniform q0 = min(K/|C|, 1), each step moves at most
+    ``step_size / sqrt(t)`` per entry against the max-normalized gradient and
+    is projected onto the budget set. Stops with ``converged`` (zero
+    gradient), ``stalled`` (a step left no mass, so L_q is undefined) or
+    ``cap``, logged on one INFO line. Returns the lowest-loss iterate, the
+    start included; optionally writes a per-iteration CSV trace.
     """
     m = len(problem.candidates)
-    q = np.full(m, min(problem.k / m, 1.0))
-    best_q, best_loss = q.copy(), np.inf
-    rows = []
-    for it in range(opt_cfg.iterations):
+    q0 = np.full(m, min(problem.k / m, 1.0))
+    q, best_q, best_loss = q0, q0, np.inf
+    rows = []  # [iteration, loss, cmd, kl, |q|_1] per evaluated iterate
+    reason = "cap"
+    for it in range(opt_cfg.iterations + 1):
         loss, grad, terms = selection_loss_and_grad(problem, q)
-        _check_finite(loss, terms, it)
+        if not np.isfinite(loss):
+            diverged = [name for name, val in terms.items() if not np.isfinite(val)]
+            raise RuntimeError(f"selection loss non-finite at iteration {it}; diverged terms: {diverged}")
+        rows.append([it, loss, terms["cmd"], terms["kl"], q.sum()])
         if loss < best_loss:
-            best_loss, best_q = loss, q.copy()
-        if trace_path is not None:
-            rows.append([it, loss, terms["cmd"], terms["kl"], terms["penalty"], q.sum()])
+            best_loss, best_q = loss, q
+        if it == opt_cfg.iterations:
+            break
         scale = np.max(np.abs(grad))
         if scale == 0.0:
+            reason = "converged"
             break
-        # normalized diminishing steps: the hinge term makes L_q nonsmooth, and
-        # a fixed raw-gradient step oscillates or wipes q out entirely
         step = opt_cfg.step_size / np.sqrt(it + 1.0)
-        proposal = np.clip(q - step * grad / scale, 0.0, 1.0)
-        if proposal.sum() == 0.0:
+        q = project_capped_simplex(q - step * grad / scale, problem.k)
+        if q.sum() == 0.0:
+            reason = "stalled"
             break
-        q = proposal
-    loss, _, terms = selection_loss_and_grad(problem, q)
-    _check_finite(loss, terms, opt_cfg.iterations)
-    if loss < best_loss:
-        best_loss, best_q = loss, q.copy()
+    logger.info("selection: %d iterations, stop %s, L_q %.6g -> %.6g, |q|_1 %.6g of K = %d",
+                it, reason, rows[0][1], best_loss, best_q.sum(), problem.k)
+    if best_q is q0:
+        logger.warning("selection: no iterate improved on the uniform start (stop %s)", reason)
     if trace_path is not None:
-        rows.append([opt_cfg.iterations, loss, terms["cmd"], terms["kl"], terms["penalty"], q.sum()])
         with open(trace_path, "w", newline="\n") as f:
             w = csv.writer(f, lineterminator="\n")
-            w.writerow(["iteration", "loss", "cmd", "kl", "penalty", "q_l1"])
+            w.writerow(["iteration", "loss", "cmd", "kl", "q_l1"])
             w.writerows(rows)
     return SelectionVector(q=best_q)
 

@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from hcgst.cli import SWEEP_GRIDS, main
@@ -134,6 +135,27 @@ def test_run_malformed_edge_row_is_config_error(tmp_path):
     with open(graph / "edges.csv", "a") as f:
         f.write("3,not-a-node\n")
     assert main(["run", "--graph", str(graph), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_run_non_finite_feature_is_config_error(tmp_path, capsys):
+    graph = _generate(tmp_path)
+    lines = (graph / "features.csv").read_text().splitlines()
+    row = lines[4].split(",")
+    row[2] = "nan"
+    lines[4] = ",".join(row)
+    (graph / "features.csv").write_text("\n".join(lines) + "\n")
+    assert main(["run", "--graph", str(graph), "--out", str(tmp_path / "x")]) == 2
+    assert "feature row 4 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epochs", [1, 20])  # 1: only the last step diverges
+def test_run_diverging_training_is_runtime_failure(tmp_path, capsys, epochs):
+    graph = _generate(tmp_path)
+    with np.errstate(all="ignore"):
+        code = main(["run", "--graph", str(graph), "--out", str(tmp_path / "x"), "--label-rate", "0.1",
+                     "--stages", "1", "--epochs", str(epochs), "--learning-rate", "1e200"])
+    assert code == 3
+    assert "training diverged at stage 0" in capsys.readouterr().err
 
 
 def test_config_file_with_flag_override(tmp_path):

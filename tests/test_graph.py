@@ -34,6 +34,13 @@ def test_build_empty_edge_list():
     assert g.degrees.tolist() == [0, 0, 0, 0]
 
 
+def test_build_rejects_non_finite_feature_with_row():
+    features = np.zeros((4, 3))
+    features[2, 1] = np.nan
+    with pytest.raises(ValueError, match="feature row 2 "):
+        build_graph([(0, 1)], features)
+
+
 def test_build_triangle_degrees():
     g = _graph([(0, 1), (1, 2), (0, 2)], n=3)
     assert g.degrees.tolist() == [2, 2, 2]
@@ -363,7 +370,9 @@ def test_save_graph_dir_bytes_match_csv_writer(tmp_path):
     awkward = np.array([-0.0, 1e-300, 1.0, 0.1 + 0.2, -5e-324, 1.7976931348623157e308,
                         123456789.125, -2.5e-7, 0.0, 1 / 3, 1e16, -1e22,
                         np.inf, -np.inf, np.nan, 2.0**-1074])
-    g = build_graph([(0, 1), (2, 3), (1, 3)], awkward.reshape(4, 4), [0, 1, 2, 1])
+    # build_graph rejects non-finite features, so they are swapped in afterwards
+    g = dataclasses.replace(build_graph([(0, 1), (2, 3), (1, 3)], np.zeros((4, 4)), [0, 1, 2, 1]),
+                            features=awkward.reshape(4, 4))
     big_ids = dataclasses.replace(g, edges=np.array([[0, 2**31 + 3], [2**40, 2**62]], dtype=np.int64))
     for i, graph in enumerate((g, big_ids)):
         save_graph_dir(graph, tmp_path / f"new{i}")

@@ -1,12 +1,17 @@
+import logging
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from hcgst import selection
 from hcgst.homophily import bin_distribution, target_distribution
 from hcgst.selection import (PgdConfig, SelectionProblem, candidate_set,
-                             optimize_selection, selection_bin_mass,
-                             selection_loss_and_grad, top_k)
+                             optimize_selection, project_capped_simplex,
+                             selection_bin_mass, selection_loss_and_grad, top_k)
 
 
 def _random_problem(seed, m=8, k=3, r=3, lambda_s=1.0, n_bins=5):
@@ -140,10 +145,37 @@ def test_lambda_zero_removes_kl_gradient():
     assert np.array_equal(g1, g2)
 
 
-def test_single_candidate_projection_keeps_penalty_inactive():
+def test_single_candidate_stays_in_box_and_budget():
     problem = _random_problem(5, m=1, k=1)
     q = optimize_selection(problem).q
     assert 0.0 <= q[0] <= 1.0
+
+
+def test_budget_at_least_candidate_count():
+    # K >= |C|: the whole box is feasible, so projection only clips and top-K
+    # returns every candidate
+    problem = _random_problem(7, m=5, k=7)
+    v = np.array([0.0, 0.3, 1.0, 0.7, 0.2])
+    assert np.array_equal(project_capped_simplex(v, problem.k), v)
+    assert project_capped_simplex(np.array([-0.5, 2.0, 0.5, 1.5, 1.0]), 7).tolist() == [0, 1, 0.5, 1, 1]
+    q = optimize_selection(problem).q
+    assert np.all((q >= 0.0) & (q <= 1.0))
+    chosen = top_k(q, problem.k, problem.candidates, np.full(5, 0.9))
+    assert sorted(chosen.tolist()) == problem.candidates.tolist()
+
+
+def test_many_candidates_per_pick_do_not_collapse_to_uniform_start():
+    # |C| >= 30 K, and the uniform start K/|C| sums to K plus round-off: the
+    # optimizer must still leave the start and cut L_q
+    m, k = 613, 20
+    problem = _random_problem(0, m=m, k=k)
+    q0 = np.full(m, k / m)
+    assert q0.sum() > k
+    q = optimize_selection(problem).q
+    loss, loss0 = selection_loss_and_grad(problem, q)[0], selection_loss_and_grad(problem, q0)[0]
+    assert loss <= 0.1 * loss0
+    assert not np.all(q == q[0])
+    assert q.sum() <= k * (1 + 1e-9)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -169,8 +201,78 @@ def test_optimizer_trace_csv(tmp_path):
     path = tmp_path / "trace.csv"
     optimize_selection(problem, PgdConfig(iterations=10), trace_path=path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,loss,cmd,kl,penalty,q_l1"
+    assert lines[0] == "iteration,loss,cmd,kl,q_l1"
     assert len(lines) == 12  # header + 10 iterates + final point
+
+
+@pytest.mark.parametrize("cap", [0, 10])
+def test_optimizer_logs_iterations_and_stop_reason(caplog, cap):
+    problem = _random_problem(2, m=12, k=3)
+    with caplog.at_level(logging.INFO, logger="hcgst.selection"):
+        optimize_selection(problem, PgdConfig(iterations=cap))
+    line = caplog.records[0].getMessage()
+    assert line.startswith(f"selection: {cap} iterations, stop cap, L_q ")
+    assert line.endswith("of K = 3")
+
+
+def test_optimizer_vanishing_gradient_stops_converged(caplog):
+    # identical representations give CMD 0 with zero gradient; lambda_s = 0
+    # drops the KL term, so the start is stationary
+    problem = replace(_random_problem(3, m=6, k=2, lambda_s=0.0),
+                      cand_repr=np.ones((6, 3)), global_repr=np.ones((24, 3)))
+    with caplog.at_level(logging.INFO, logger="hcgst.selection"):
+        q = optimize_selection(problem).q
+    assert np.all(q == 2 / 6)
+    messages = [(r.levelno, r.getMessage()) for r in caplog.records]
+    assert messages[0][1].startswith("selection: 0 iterations, stop converged")
+    assert messages[1][0] == logging.WARNING and "uniform start" in messages[1][1]
+
+
+def test_optimizer_zero_mass_step_stops_stalled(caplog, monkeypatch):
+    problem = _random_problem(4, m=10, k=4)
+    monkeypatch.setattr(selection, "project_capped_simplex", lambda v, k: np.zeros_like(v))
+    with caplog.at_level(logging.INFO, logger="hcgst.selection"):
+        q = optimize_selection(problem).q
+    assert np.all(q == 0.4)
+    assert caplog.records[0].getMessage().startswith("selection: 0 iterations, stop stalled")
+    assert caplog.records[1].levelno == logging.WARNING
+
+
+def _sorted_breakpoint_projection(v, k):
+    """Exact projection onto {q in [0,1]^m : sum q <= k}: sum(clip(v - t, 0, 1))
+    is piecewise linear in t with kinks at v_i and v_i - 1, so the threshold is
+    interpolated between the two sorted kinks that bracket k."""
+    q = np.clip(v, 0.0, 1.0)
+    if q.sum() <= k:
+        return q
+    kinks = np.unique(np.concatenate([v, v - 1.0, [0.0]]))
+    kinks = kinks[kinks >= 0.0]
+    mass = np.array([np.clip(v - t, 0.0, 1.0).sum() for t in kinks])  # non-increasing
+    j = int(np.searchsorted(-mass, -k))  # first kink with mass <= k
+    t0, t1 = kinks[j - 1], kinks[j]
+    tau = t0 + (mass[j - 1] - k) * (t1 - t0) / (mass[j - 1] - mass[j])
+    return np.clip(v - tau, 0.0, 1.0)
+
+
+_VECTORS = st.integers(1, 40).flatmap(
+    lambda m: arrays(np.float64, m, elements=st.floats(-2.0, 3.0, allow_nan=False)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(v=_VECTORS, k=st.floats(0.1, 50.0))
+def test_projection_matches_sorted_breakpoint_projection(v, k):
+    q = project_capped_simplex(v, k)
+    assert np.all((q >= 0.0) & (q <= 1.0))
+    assert q.sum() <= k * (1 + 1e-9)
+    assert np.max(np.abs(q - _sorted_breakpoint_projection(v, k))) <= 1e-9
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.integers(1, 40).flatmap(lambda m: arrays(np.float64, m, elements=st.floats(0.0, 1.0))),
+       slack=st.floats(0.0, 5.0))
+def test_projection_keeps_feasible_points(v, slack):
+    k = v.sum() + slack
+    assert np.array_equal(project_capped_simplex(v, k), v)
 
 
 def test_top_k_ranks_by_q():
