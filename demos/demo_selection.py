@@ -10,11 +10,11 @@ top-K.
 
 import numpy as np
 
-from hcgst import (PgdConfig, SelectionProblem, SynthConfig, TrainConfig,
-                   bin_distribution, candidate_set, estimate_homophily_profile,
-                   forward, generate_graph, init_params, k_hop_adjacency,
-                   optimize_selection, sample_training_set, selection_bin_mass,
-                   selection_loss_and_grad, target_distribution, top_k, train_dual)
+from hcgst import (SelectionProblem, SynthConfig, TrainConfig, bin_distribution,
+                   candidate_set, estimate_homophily_profile, forward, generate_graph,
+                   init_params, k_hop_adjacency, optimize_selection, sample_training_set,
+                   selection_bin_mass, selection_loss_and_grad, target_distribution, top_k,
+                   train_dual)
 
 graph = generate_graph(SynthConfig(
     n=500, classes=4, feature_dim=16, mean_degree=8,
@@ -49,7 +49,7 @@ problem = SelectionProblem(candidates=cands, cand_repr=out.logits[cands],
                            target=target, k=k, lambda_s=2.0, n_bins=10)
 q0 = np.full(cands.size, min(k / cands.size, 1.0))
 loss0 = selection_loss_and_grad(problem, q0)[0]
-qvec = optimize_selection(problem, PgdConfig())
+qvec = optimize_selection(problem)
 loss1, _, terms = selection_loss_and_grad(problem, qvec.q)
 print(f"\nselection loss: {loss0:.3f} at init -> {loss1:.3f} after optimization "
       f"(cmd {terms['cmd']:.3f}, kl {terms['kl']:.3f}; |q|_1 {qvec.q.sum():.2f} <= K = {k})")
@@ -59,7 +59,7 @@ scaled = mass / mass.sum() * target.sum()
 print("q mass per bin (scaled to target total):", np.round(scaled, 1))
 
 chosen = top_k(qvec.q, k, cands, conf[cands])
-by_conf = cands[np.lexsort((cands, -conf[cands]))][:k]
+by_conf = top_k(np.zeros(cands.size), k, cands, conf[cands])  # constant q: confidence order
 print("\nselected bins (optimized):", bin_distribution(est_h[chosen], 10).astype(int))
 print("selected bins (top conf) :", bin_distribution(est_h[by_conf], 10).astype(int))
 print("the relaxed q matches the target shape; top-K then extracts the heaviest",

@@ -117,6 +117,12 @@ def _merge_options(args: argparse.Namespace) -> dict:
         raise ValueError("--out is required (flag or config file)")
     if opts["jobs"] < 1:
         raise ValueError(f"jobs must be >= 1, got {opts['jobs']}")
+    if opts["repeat"] < 1:
+        raise ValueError(f"repeat must be >= 1, got {opts['repeat']}")
+    if not 0 < opts["label_rate"] < 1:
+        raise ValueError(f"label_rate must lie in (0, 1), got {opts['label_rate']}")
+    if not 0 <= opts["val_fraction"] < 1:
+        raise ValueError(f"val_fraction must lie in [0, 1), got {opts['val_fraction']}")
     return opts
 
 
@@ -252,6 +258,8 @@ def cmd_run(args) -> int:
     opts = _merge_options(args)
     graph = load_graph_dir(opts["graph"])
     variants = [v.strip() for v in opts["variant"].split(",") if v.strip()]
+    if not variants:
+        raise ValueError("--variant names no variant")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; expected one of {VARIANTS}")
@@ -267,7 +275,7 @@ def cmd_sweep(args) -> int:
     opts = _merge_options(args)
     if args.param not in SWEEP_GRIDS:
         raise ValueError(f"unknown sweep param {args.param!r}; expected one of {sorted(SWEEP_GRIDS)}")
-    values = ([float(v) for v in args.values.split(",")] if args.values
+    values = ([float(v) for v in args.values.split(",")] if args.values is not None
               else SWEEP_GRIDS[args.param])
     graph = load_graph_dir(opts["graph"])
     variant = opts["variant"].split(",")[0]
@@ -311,16 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Homophily-consistent graph self-training")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    synth = _field_defaults(SynthConfig)
     g = sub.add_parser("generate", help="generate a synthetic labeled graph directory")
-    g.add_argument("--n", type=int, default=500)
-    g.add_argument("--classes", type=int, default=4)
-    g.add_argument("--feature-dim", type=int, dest="feature_dim", default=16)
-    g.add_argument("--mean-degree", type=float, dest="mean_degree", default=8.0)
+    g.add_argument("--n", type=int, default=synth["n"])
+    g.add_argument("--classes", type=int, default=synth["classes"])
+    g.add_argument("--feature-dim", type=int, dest="feature_dim", default=synth["feature_dim"])
+    g.add_argument("--mean-degree", type=float, dest="mean_degree", default=synth["mean_degree"])
     g.add_argument("--target-histogram", dest="target_histogram",
-                   default="1,1,1,1,1,1,1,1,1,1",
+                   default=",".join(f"{v:g}" for v in SynthConfig().target_histogram),
                    help="comma list of relative bin masses for node homophily targets")
-    g.add_argument("--separation", type=float, default=1.0)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--separation", type=float, default=synth["separation"])
+    g.add_argument("--seed", type=int, default=synth["seed"])
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 

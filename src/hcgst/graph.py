@@ -35,9 +35,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.adj.indptr).astype(np.int64)
 
-    def has_labels(self) -> bool:
-        return self.labels is not None
-
 
 def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     """Construct a :class:`Graph` from raw edge pairs and a feature matrix.

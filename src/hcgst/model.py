@@ -15,7 +15,6 @@ import contextlib
 import ctypes
 import functools
 import logging
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,8 +26,6 @@ logger = logging.getLogger(__name__)
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
-_CKPT_MAGIC = b"HCGSTCKP"
-_CKPT_VERSION = 1
 
 
 @dataclass
@@ -50,10 +47,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class ForwardOutput:
-    hidden: np.ndarray         # (n, hidden) extractor output
-    logits: np.ndarray         # (n, c) main-head logits
-    soft: np.ndarray           # (n, c) row softmax of logits
-    pseudo_logits: np.ndarray  # (n, c) pseudo-head logits, training only
+    logits: np.ndarray  # (n, c) main-head logits
+    soft: np.ndarray    # (n, c) row softmax of logits
 
 
 @dataclass
@@ -63,8 +58,12 @@ class TrainConfig:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @functools.cache
@@ -140,10 +139,8 @@ def forward(params: ModelParams, view, features) -> ForwardOutput:
         raise ValueError(f"feature dim {x.shape[1]} does not match model input dim {params.w1.shape[0]}")
     a_hat = view.norm
     act1 = np.maximum(a_hat @ x @ params.w1, 0.0)
-    h = (a_hat @ act1) @ params.w2
-    logits = h @ params.w_main
-    return ForwardOutput(hidden=h, logits=logits, soft=softmax_rows(logits),
-                         pseudo_logits=h @ params.w_pseudo)
+    logits = ((a_hat @ act1) @ params.w2) @ params.w_main
+    return ForwardOutput(logits=logits, soft=softmax_rows(logits))
 
 
 def predict(params: ModelParams, view, features) -> np.ndarray:
@@ -349,31 +346,3 @@ def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dua
         worst = max(worst, float(np.max(np.abs(fd - grads[key]) / denom)))
     return worst
 
-
-def save_params(params: ModelParams, path) -> None:
-    """Flat binary checkpoint: header (version, dims, seed) then row-major float64 matrices."""
-    d, hidden = params.w1.shape
-    c = params.w_main.shape[1]
-    with open(path, "wb") as f:
-        f.write(_CKPT_MAGIC)
-        f.write(struct.pack("<Iqqqq", _CKPT_VERSION, d, hidden, c, params.seed))
-        for key in ("w1", "w2", "w_main", "w_pseudo"):
-            f.write(np.ascontiguousarray(params.matrices()[key], dtype=np.float64).tobytes())
-
-
-def load_params(path) -> ModelParams:
-    with open(path, "rb") as f:
-        magic = f.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise ValueError(f"not a parameter checkpoint: bad magic {magic!r}")
-        version, d, hidden, c, seed = struct.unpack("<Iqqqq", f.read(4 + 8 * 4))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-
-        def mat(rows, cols):
-            buf = f.read(8 * rows * cols)
-            return np.frombuffer(buf, dtype=np.float64).reshape(rows, cols).copy()
-
-        return ModelParams(w1=mat(d, hidden), w2=mat(hidden, hidden),
-                           w_main=mat(hidden, c), w_pseudo=mat(hidden, c),
-                           hidden=int(hidden), seed=int(seed))

@@ -20,7 +20,7 @@ from .homophily import bin_distribution, bin_index, estimate_homophily_profile, 
 from .metrics import CmdConfig, cmd, kl_divergence
 from .model import TrainConfig, _one_blas_thread, forward, init_params, train_dual
 from .pseudolabel import mix_outputs, assign_pseudo_labels
-from .selection import (PgdConfig, SelectionProblem, candidate_set, optimize_selection, top_k)
+from .selection import SelectionProblem, candidate_set, optimize_selection, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -72,6 +72,7 @@ class StageReport:
     selected_confidence: list  # per selected node: max softmax at selection time
     n_candidates: int
     n_multi_hop: int
+    kl_picks_target: float     # KL(picks' estimated-homophily bins, target); NaN without candidates
     pseudo_mean_est_h: float
     pseudo_mean_true_h: float
     global_mean_est_h: float
@@ -198,11 +199,14 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         raise ValueError("self-training requires ground-truth labels for the labeled set")
     if partition.labeled.size == 0:
         raise ValueError("labeled set must be non-empty")
+    if partition.unlabeled.size == 0:
+        raise ValueError("unlabeled set must be non-empty: it is the test set")
+    if partition.pseudo.size:
+        raise ValueError("the partition must not start with pseudo nodes: their labels are unknown")
 
     knobs = _variant_knobs(cfg)
     part = NodePartition(labeled=partition.labeled.copy(), validation=partition.validation.copy(),
-                         unlabeled=partition.unlabeled.copy(), pseudo=partition.pseudo.copy(),
-                         pseudo_stage=partition.pseudo_stage.copy())
+                         unlabeled=partition.unlabeled.copy())
     y_true = graph.labels
     x = graph.features
     n_bins = cfg.n_bins
@@ -236,7 +240,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
 
     best_val, best_stage, best_params, best_preds = val_acc, 0, params, backbone_preds
     patience = 0
-    pseudo_label_of = {}
+    pseudo_y = np.empty(0, dtype=np.int64)  # labels of part.pseudo, co-indexed
     stage_reports = []
     est_h = np.zeros(graph.n)
 
@@ -244,8 +248,8 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         soft = out.soft
         conf = soft.max(axis=1)
 
-        override = {int(v): int(y_true[v]) for v in part.labeled}
-        override.update({int(v): int(pseudo_label_of[int(v)]) for v in part.pseudo})
+        override = dict(zip(part.train_pool().tolist(),
+                            np.concatenate([y_true[part.labeled], pseudo_y]).tolist()))
         est_h = estimate_homophily_profile(soft, graph, override)
         global_est = bin_distribution(est_h, n_bins)
 
@@ -254,22 +258,22 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         cands = candidate_set(soft, part.pseudo, part.labeled, part.validation, cfg.delta_c)
         selected = new_labels = np.empty(0, dtype=np.int64)
         from_multi_hop = np.empty(0, dtype=bool)
+        kl_picks = float("nan")
         if cands.size == 0:
             logger.warning("stage %d: empty candidate set, skipping", s)
         else:
             local_est = bin_distribution(est_h[part.train_pool()], n_bins)
             target = target_distribution(global_est, local_est, k_stage)
 
+            q = np.zeros(cands.size)  # a constant q ranks by confidence alone
             if knobs.optimized_selection:
                 problem = SelectionProblem(candidates=cands, cand_repr=out.logits[cands],
                                            global_repr=out.logits, cand_homophily=est_h[cands],
                                            target=target, k=k_stage, lambda_s=knobs.lambda_s,
                                            n_bins=n_bins)
-                q = optimize_selection(problem, PgdConfig())
-                selected = top_k(q.q, k_stage, cands, conf[cands])
-            else:
-                order = np.lexsort((cands, -conf[cands]))
-                selected = cands[order[:k_stage]]
+                q = optimize_selection(problem).q
+            selected = top_k(q, k_stage, cands, conf[cands])
+            kl_picks = kl_divergence(bin_distribution(est_h[selected], n_bins), target)
 
             if knobs.delta_h > 0:
                 if view_k is None:
@@ -282,8 +286,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             new_labels = assign_pseudo_labels(mixed, selected)
             from_multi_hop = mixed.from_multi_hop[selected]
             part.add_pseudo(selected, s)
-            for v, lab in zip(selected, new_labels):
-                pseudo_label_of[int(v)] = int(lab)
+            pseudo_y = np.concatenate([pseudo_y, new_labels])
 
             leftovers = np.setdiff1d(cands, selected)
             if knobs.dual_head and leftovers.size:
@@ -291,7 +294,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             else:
                 leftover_pair = empty
 
-            pseudo_y = np.array([pseudo_label_of[int(v)] for v in part.pseudo], dtype=np.int64)
             params = train(s, (part.pseudo, pseudo_y), leftover_pair)
             out = forward(params, view1, x)  # also the next stage's selection pass
 
@@ -302,12 +304,13 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         has_pseudo = part.pseudo.size > 0
         stage_reports.append(StageReport(
             stage=s,
-            selected=[int(v) for v in selected],
-            assigned_labels=[int(v) for v in new_labels],
-            selected_multi_hop=[bool(v) for v in from_multi_hop],
-            selected_confidence=[float(v) for v in conf[selected]],
+            selected=selected.tolist(),
+            assigned_labels=new_labels.tolist(),
+            selected_multi_hop=from_multi_hop.tolist(),
+            selected_confidence=conf[selected].tolist(),
             n_candidates=int(cands.size),
             n_multi_hop=int(from_multi_hop.sum()),
+            kl_picks_target=kl_picks,
             pseudo_mean_est_h=float(np.mean(est_h[part.pseudo])) if has_pseudo else float("nan"),
             pseudo_mean_true_h=float(np.mean(true_profile[part.pseudo])) if has_pseudo else float("nan"),
             global_mean_est_h=float(np.mean(est_h)),

@@ -22,6 +22,8 @@ from .homophily import bin_index
 from .metrics import CmdConfig, cmd_weighted_with_grad, kl_divergence_with_grad
 
 KL_EPS = 1e-8
+_ITERATIONS = 200
+_STEP_SIZE = 0.05
 _BISECTIONS = 50  # shrink the projection threshold's bracket [0, max v] by 2^-50
 
 logger = logging.getLogger(__name__)
@@ -60,12 +62,6 @@ class SelectionProblem:
 @dataclass
 class SelectionVector:
     q: np.ndarray
-
-
-@dataclass(frozen=True)
-class PgdConfig:
-    iterations: int = 200
-    step_size: float = 0.05
 
 
 def candidate_set(soft_labels, prior_pseudo, labeled, validation, delta_c: float) -> np.ndarray:
@@ -123,23 +119,23 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     return np.clip(v - hi, 0.0, 1.0)
 
 
-def optimize_selection(problem: SelectionProblem, opt_cfg: PgdConfig = PgdConfig(),
-                       trace_path=None) -> SelectionVector:
+def optimize_selection(problem: SelectionProblem, trace_path=None) -> SelectionVector:
     """Projected gradient descent on L_q subject to q in [0,1]^|C|, |q|_1 <= K.
 
-    From the uniform q0 = min(K/|C|, 1), each step moves at most
-    ``step_size / sqrt(t)`` per entry against the max-normalized gradient and
-    is projected onto the budget set. Stops with ``converged`` (zero
-    gradient), ``stalled`` (a step left no mass, so L_q is undefined) or
-    ``cap``, logged on one INFO line. Returns the lowest-loss iterate, the
-    start included; optionally writes a per-iteration CSV trace.
+    From the uniform q0 = min(K/|C|, 1), each of at most ``_ITERATIONS``
+    steps moves at most ``_STEP_SIZE / sqrt(t)`` per entry against the
+    max-normalized gradient and is projected onto the budget set. Stops with
+    ``converged`` (zero gradient), ``stalled`` (a step left no mass, so L_q
+    is undefined) or ``cap``, logged on one INFO line. Returns the
+    lowest-loss iterate, the start included; optionally writes a
+    per-iteration CSV trace.
     """
     m = len(problem.candidates)
     q0 = np.full(m, min(problem.k / m, 1.0))
     q, best_q, best_loss = q0, q0, np.inf
     rows = []  # [iteration, loss, cmd, kl, |q|_1] per evaluated iterate
     reason = "cap"
-    for it in range(opt_cfg.iterations + 1):
+    for it in range(_ITERATIONS + 1):
         loss, grad, terms = selection_loss_and_grad(problem, q)
         if not np.isfinite(loss):
             diverged = [name for name, val in terms.items() if not np.isfinite(val)]
@@ -147,13 +143,13 @@ def optimize_selection(problem: SelectionProblem, opt_cfg: PgdConfig = PgdConfig
         rows.append([it, loss, terms["cmd"], terms["kl"], q.sum()])
         if loss < best_loss:
             best_loss, best_q = loss, q
-        if it == opt_cfg.iterations:
+        if it == _ITERATIONS:
             break
         scale = np.max(np.abs(grad))
         if scale == 0.0:
             reason = "converged"
             break
-        step = opt_cfg.step_size / np.sqrt(it + 1.0)
+        step = _STEP_SIZE / np.sqrt(it + 1.0)
         q = project_capped_simplex(q - step * grad / scale, problem.k)
         if q.sum() == 0.0:
             reason = "stalled"
@@ -172,7 +168,8 @@ def optimize_selection(problem: SelectionProblem, opt_cfg: PgdConfig = PgdConfig
 
 def top_k(q, k: int, candidates, confidence) -> np.ndarray:
     """The k candidates with largest q; ties broken by higher confidence, then
-    lower node id. Returns all candidates when fewer than k exist."""
+    lower node id, so a constant q ranks by confidence alone. Returns all
+    candidates when fewer than k exist."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     candidates = np.asarray(candidates, dtype=np.int64)

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from hcgst.cli import SWEEP_GRIDS, main
+from hcgst.cli import SWEEP_GRIDS, build_parser, main
 from hcgst.orchestrator import RunConfig
+from hcgst.synth import SynthConfig
 
 
 def _generate(tmp_path, name="g", n=80, seed=5):
@@ -42,6 +43,15 @@ def test_generate_idempotent_bytes(tmp_path):
     b = _generate(tmp_path, "b")
     for name in ("edges.csv", "features.csv", "labels.csv", "meta.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_generate_defaults_are_synth_config_defaults():
+    args = vars(build_parser().parse_args(["generate", "--out", "x"]))
+    default = SynthConfig()
+    for name in ("n", "classes", "feature_dim", "mean_degree", "separation", "seed"):
+        assert args[name] == getattr(default, name), name
+    hist = [float(v) for v in args["target_histogram"].split(",")]
+    assert hist == default.target_histogram.tolist()
 
 
 def test_generate_rejects_bad_histogram(tmp_path):
@@ -156,6 +166,26 @@ def test_run_diverging_training_is_runtime_failure(tmp_path, capsys, epochs):
                      "--stages", "1", "--epochs", str(epochs), "--learning-rate", "1e200"])
     assert code == 3
     assert "training diverged at stage 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    ("run", ["--repeat", "0"], "repeat must be >= 1"),
+    ("run", ["--variant", ""], "names no variant"),
+    ("run", ["--label-rate", "1.5"], "label_rate must lie in (0, 1)"),
+    ("run", ["--val-fraction", "1.5"], "val_fraction must lie in [0, 1)"),
+    ("run", ["--label-rate", "0.9", "--val-fraction", "0.5"], "unlabeled set must be non-empty"),
+    ("run", ["--epochs", "-1"], "epochs must be >= 1"),
+    ("run", ["--weight-decay", "-5"], "weight_decay must be >= 0"),
+    ("sweep", ["--param", "lambda_d", "--values", ""], "could not convert"),
+])
+def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, command, bad, message):
+    graph = _generate(tmp_path)
+    out = tmp_path / "x"
+    valid = ["--label-rate", "0.1", "--val-fraction", "0.1", "--stages", "1", "--epochs", "5"]
+    assert main([command, "--graph", str(graph), "--out", str(out), *valid, *bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -9,8 +9,7 @@ from hypothesis.extra.numpy import arrays
 from hcgst.graph import build_graph, k_hop_adjacency, make_partition
 from hcgst.model import (TrainConfig, _cross_entropy_rows, _openblas_thread_calls,
                          dual_loss_and_grads, forward, gradient_check, init_params,
-                         load_params, predict, save_params, softmax_rows, train_dual,
-                         training_rows)
+                         predict, softmax_rows, train_dual, training_rows)
 from hcgst.orchestrator import RunConfig, run_self_training
 from hcgst.synth import SynthConfig, generate_graph
 
@@ -180,8 +179,10 @@ def test_training_loss_decreases_on_two_blob_graph():
     idx = np.arange(20)
 
     def loss_after(epochs):
-        cfg = TrainConfig(epochs=epochs, learning_rate=0.01, weight_decay=0.0)
-        trained = train_dual(init_params(3, 8, 4, 6), g, view, (idx, g.labels), EMPTY, EMPTY, cfg, 0.09)
+        trained = init_params(3, 8, 4, 6)  # epochs = 0: the initial parameters
+        if epochs:
+            cfg = TrainConfig(epochs=epochs, learning_rate=0.01, weight_decay=0.0)
+            trained = train_dual(trained, g, view, (idx, g.labels), EMPTY, EMPTY, cfg, 0.09)
         val, _, _ = dual_loss_and_grads(trained, training_rows(view, g.features, idx, g.labels,
                                                                EMPTY[0], EMPTY[1]), 0.0, 0.0)
         return val
@@ -372,24 +373,6 @@ def test_gradient_finite_at_zero_params():
     _, grads, _ = dual_loss_and_grads(params, tr, 0.09, 5e-4)
     for g_mat in grads.values():
         assert np.all(np.isfinite(g_mat))
-
-
-def test_checkpoint_round_trip(tmp_path):
-    params = init_params(7, 5, 3, seed=13)
-    path = tmp_path / "model.bin"
-    save_params(params, path)
-    loaded = load_params(path)
-    for key in params.matrices():
-        assert np.array_equal(params.matrices()[key], loaded.matrices()[key])
-    assert loaded.seed == 13
-    assert loaded.hidden == 5
-
-
-def test_checkpoint_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTAMODEL" + b"\0" * 64)
-    with pytest.raises(ValueError, match="magic"):
-        load_params(path)
 
 
 def _two_exp_cross_entropy(logits_rows, y):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from hcgst.graph import make_partition
-from hcgst.model import TrainConfig, init_params
+from hcgst.graph import k_hop_adjacency, make_partition
+from hcgst.homophily import bin_distribution, estimate_homophily_profile, target_distribution
+from hcgst.metrics import kl_divergence
+from hcgst.model import TrainConfig, forward, init_params, train_dual
 from hcgst.orchestrator import (RunConfig, bias_metrics, per_bin_accuracy,
                                 run_self_training)
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
@@ -95,6 +97,35 @@ def test_requires_nonempty_labeled(small_graph):
         run_self_training(small_graph, part, _cfg())
 
 
+def test_rejects_partition_with_pseudo_nodes(small_graph):
+    part = _partition(small_graph)
+    part.add_pseudo(part.unlabeled[:2], 1)
+    with pytest.raises(ValueError, match="pseudo nodes"):
+        run_self_training(small_graph, part, _cfg())
+
+
+@pytest.mark.parametrize("variant", ["hcgst", "st_confidence"])
+def test_kl_picks_target_recomputed_from_first_stage_picks(small_graph, variant):
+    cfg = _cfg(variant=variant, stages=1)
+    part = _partition(small_graph)
+    stage = run_self_training(small_graph, part, cfg).stage_reports[0]
+    assert stage.selected  # the stage picked nodes
+
+    # the first stage selects on the backbone's output, labeled nodes pinned
+    y = small_graph.labels
+    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+    view = k_hop_adjacency(small_graph, 1)
+    backbone = train_dual(init_params(small_graph.d, cfg.hidden, small_graph.c, cfg.seed),
+                          small_graph, view, (part.labeled, y[part.labeled]), empty, empty,
+                          cfg.train, cfg.lambda_d, validation=(part.validation, y[part.validation]))
+    soft = forward(backbone, view, small_graph.features).soft
+    est_h = estimate_homophily_profile(soft, small_graph, {int(v): int(y[v]) for v in part.labeled})
+    target = target_distribution(bin_distribution(est_h, cfg.n_bins),
+                                 bin_distribution(est_h[part.labeled], cfg.n_bins), part.labeled.size)
+    picked = bin_distribution(est_h[stage.selected], cfg.n_bins)
+    assert stage.kl_picks_target == pytest.approx(kl_divergence(picked, target), abs=1e-12)
+
+
 def test_backbone_only_reports_zero_deltas(small_graph):
     rep = run_self_training(small_graph, _partition(small_graph), _cfg(variant="backbone_only"))
     br = rep.bin_report
@@ -179,6 +210,7 @@ def test_empty_candidate_stages_keep_model_and_cost_patience(small_graph):
     labeled = sample_training_set(small_graph, 0.08, "representative", 10, 0)
     no_val = run_self_training(small_graph, make_partition(small_graph.n, labeled, []), cfg)
     assert [s.n_candidates for s in no_val.stage_reports] == [0, 0, 0, 0]
+    assert all(np.isnan(s.kl_picks_target) for s in no_val.stage_reports)
     assert no_val.best_stage == 0 and no_val.final_pseudo_count == 0
     with_val = run_self_training(small_graph, _partition(small_graph), cfg)
     assert len(with_val.stage_reports) == 2  # two stages without improvement end the run

@@ -9,9 +9,9 @@ from hypothesis.extra.numpy import arrays
 
 from hcgst import selection
 from hcgst.homophily import bin_distribution, target_distribution
-from hcgst.selection import (PgdConfig, SelectionProblem, candidate_set,
-                             optimize_selection, project_capped_simplex,
-                             selection_bin_mass, selection_loss_and_grad, top_k)
+from hcgst.selection import (SelectionProblem, candidate_set, optimize_selection,
+                             project_capped_simplex, selection_bin_mass,
+                             selection_loss_and_grad, top_k)
 
 
 def _random_problem(seed, m=8, k=3, r=3, lambda_s=1.0, n_bins=5):
@@ -196,20 +196,22 @@ def test_optimizer_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_optimizer_trace_csv(tmp_path):
+def test_optimizer_trace_csv(tmp_path, monkeypatch):
     problem = _random_problem(1, m=4, k=2)
     path = tmp_path / "trace.csv"
-    optimize_selection(problem, PgdConfig(iterations=10), trace_path=path)
+    monkeypatch.setattr(selection, "_ITERATIONS", 10)
+    optimize_selection(problem, trace_path=path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "iteration,loss,cmd,kl,q_l1"
     assert len(lines) == 12  # header + 10 iterates + final point
 
 
 @pytest.mark.parametrize("cap", [0, 10])
-def test_optimizer_logs_iterations_and_stop_reason(caplog, cap):
+def test_optimizer_logs_iterations_and_stop_reason(caplog, monkeypatch, cap):
     problem = _random_problem(2, m=12, k=3)
+    monkeypatch.setattr(selection, "_ITERATIONS", cap)
     with caplog.at_level(logging.INFO, logger="hcgst.selection"):
-        optimize_selection(problem, PgdConfig(iterations=cap))
+        optimize_selection(problem)
     line = caplog.records[0].getMessage()
     assert line.startswith(f"selection: {cap} iterations, stop cap, L_q ")
     assert line.endswith("of K = 3")
@@ -297,6 +299,20 @@ def test_top_k_more_than_available_returns_all():
 
 def test_top_k_empty_candidates():
     assert top_k([], 3, [], []).size == 0
+
+
+_CONFIDENCES = st.one_of(st.sampled_from([0.7, 0.8, 0.9]), st.floats(0.5, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_top_k_with_constant_q_ranks_by_confidence_then_id(data):
+    m = data.draw(st.integers(0, 30))
+    cands = data.draw(arrays(np.int64, m, elements=st.integers(0, 10_000), unique=True))
+    conf = data.draw(arrays(np.float64, m, elements=_CONFIDENCES))  # ties are common
+    k = data.draw(st.integers(1, m + 5))  # k > |C| included
+    expected = cands[np.lexsort((cands, -conf))[:k]]
+    assert np.array_equal(top_k(np.zeros(m), k, cands, conf), expected)
 
 
 @pytest.mark.parametrize("seed", range(10))
