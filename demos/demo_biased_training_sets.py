@@ -36,7 +36,7 @@ for mode in ("homophily_biased", "representative", "heterophily_biased"):
         params = train_dual(init_params(graph.d, 32, graph.c, seed), graph, view,
                             (labeled, graph.labels[labeled]), empty, empty,
                             TrainConfig(), lambda_dual=0.09, validation=(val, graph.labels[val]))
-        preds = np.argmax(forward(params, view, graph.features).logits, axis=1)
+        preds = np.argmax(forward(params, view, graph.features), axis=1)
         accs.append(np.mean(preds[part.unlabeled] == graph.labels[part.unlabeled]))
         bin_table.append(per_bin_accuracy(preds, graph.labels, truth, 10, part.unlabeled))
     bins = np.nanmean(bin_table, axis=0)

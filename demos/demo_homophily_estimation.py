@@ -12,7 +12,7 @@ import numpy as np
 from hcgst import (SynthConfig, TrainConfig, bin_distribution,
                    estimate_homophily_profile, forward, generate_graph,
                    graph_homophily, init_params, k_hop_adjacency,
-                   sample_training_set, train_dual, true_homophily_profile)
+                   sample_training_set, softmax_rows, train_dual, true_homophily_profile)
 
 graph = generate_graph(SynthConfig(
     n=400, classes=4, feature_dim=12, mean_degree=8,
@@ -37,7 +37,7 @@ view = k_hop_adjacency(graph, 1)
 params = train_dual(init_params(graph.d, 32, graph.c, 0), graph, view,
                     (labeled, graph.labels[labeled]), empty, empty,
                     TrainConfig(epochs=200), lambda_dual=0.09)
-soft = forward(params, view, graph.features).soft
+soft = softmax_rows(forward(params, view, graph.features))
 
 # labeled nodes are pinned to their known labels before estimating
 override = {int(v): int(graph.labels[v]) for v in labeled}

@@ -13,8 +13,8 @@ import numpy as np
 from hcgst import (SelectionProblem, SynthConfig, TrainConfig, bin_distribution,
                    candidate_set, estimate_homophily_profile, forward, generate_graph,
                    init_params, k_hop_adjacency, optimize_selection, sample_training_set,
-                   selection_bin_mass, selection_loss_and_grad, target_distribution, top_k,
-                   train_dual)
+                   selection_bin_mass, selection_loss_and_grad, softmax_rows, target_distribution,
+                   top_k, train_dual)
 
 graph = generate_graph(SynthConfig(
     n=500, classes=4, feature_dim=16, mean_degree=8,
@@ -29,12 +29,13 @@ empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 params = train_dual(init_params(graph.d, 32, graph.c, 1), graph, view,
                     (labeled, graph.labels[labeled]), empty, empty,
                     TrainConfig(), lambda_dual=0.09, validation=(val, graph.labels[val]))
-out = forward(params, view, graph.features)
-conf = out.soft.max(axis=1)
+logits = forward(params, view, graph.features)
+soft = softmax_rows(logits)
+conf = soft.max(axis=1)
 
 override = {int(v): int(graph.labels[v]) for v in labeled}
-est_h = estimate_homophily_profile(out.soft, graph, override)
-cands = candidate_set(out.soft, [], labeled, val, delta_c=0.65)
+est_h = estimate_homophily_profile(soft, graph, override)
+cands = candidate_set(soft, [], labeled, val, delta_c=0.65)
 print(f"{cands.size} candidates exceed the 0.65 confidence threshold")
 
 k = labeled.size
@@ -44,8 +45,8 @@ target = target_distribution(global_est, local_est, k)
 print("local bins :", local_est.astype(int))
 print("target     :", target.astype(int))
 
-problem = SelectionProblem(candidates=cands, cand_repr=out.logits[cands],
-                           global_repr=out.logits, cand_homophily=est_h[cands],
+problem = SelectionProblem(candidates=cands, cand_repr=logits[cands],
+                           global_repr=logits, cand_homophily=est_h[cands],
                            target=target, k=k, lambda_s=2.0, n_bins=10)
 q0 = np.full(cands.size, min(k / cands.size, 1.0))
 loss0 = selection_loss_and_grad(problem, q0)[0]

@@ -13,11 +13,11 @@ from .homophily import (bin_distribution, estimate_homophily_profile, estimate_n
                         target_distribution)
 from .metrics import (CmdConfig, cmd, cmd_weighted, cmd_weighted_with_grad,
                       kl_divergence, kl_divergence_with_grad)
-from .model import (ForwardOutput, ModelParams, TrainConfig, forward, gradient_check,
-                    init_params, predict, softmax_rows, train_dual)
+from .model import (ModelParams, TrainConfig, forward, gradient_check, init_params, predict,
+                    softmax_rows, train_dual)
 from .orchestrator import (BinReport, RunConfig, RunReport, StageReport, VARIANTS,
                            bias_metrics, per_bin_accuracy, run_self_training)
-from .pseudolabel import MixedOutput, assign_pseudo_labels, mix_outputs
+from .pseudolabel import assign_pseudo_labels
 from .selection import (SelectionProblem, SelectionVector, candidate_set, optimize_selection,
                         selection_bin_mass, selection_loss_and_grad, top_k)
 from .synth import BIAS_MODES, SynthConfig, generate_graph, sample_training_set

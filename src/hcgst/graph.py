@@ -96,7 +96,6 @@ class AdjacencyView:
     message passing.
     """
 
-    hop: int
     n: int
     adj: sp.csr_matrix = field(repr=False)
     norm: sp.csr_matrix = field(repr=False)
@@ -134,7 +133,7 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
     # summation order of every product with it.
     norm = _sym_normalize(power)
     power.sort_indices()
-    return AdjacencyView(hop=k, n=graph.n, adj=power, norm=norm)
+    return AdjacencyView(n=graph.n, adj=power, norm=norm)
 
 
 def true_node_homophily(graph: Graph, node: int) -> float:
@@ -169,28 +168,26 @@ class NodePartition:
     """Disjoint labeled / validation / unlabeled / pseudo node sets.
 
     Pseudo nodes move out of the unlabeled pool as stages select them; the
-    pseudo set only grows and keeps per-node stage provenance.
+    pseudo set only grows, in selection order.
     """
 
     labeled: np.ndarray
     validation: np.ndarray
     unlabeled: np.ndarray
     pseudo: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    pseudo_stage: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
         self.labeled = np.asarray(self.labeled, dtype=np.int64)
         self.validation = np.asarray(self.validation, dtype=np.int64)
         self.unlabeled = np.asarray(self.unlabeled, dtype=np.int64)
         self.pseudo = np.asarray(self.pseudo, dtype=np.int64)
-        self.pseudo_stage = np.asarray(self.pseudo_stage, dtype=np.int64)
         # a node may repeat within one set, never across two
         members = np.concatenate([np.unique(s) for s in (self.labeled, self.validation,
                                                           self.unlabeled, self.pseudo)])
         if np.unique(members).size != members.size:
             raise ValueError("labeled/validation/unlabeled/pseudo sets must be pairwise disjoint")
 
-    def add_pseudo(self, nodes, stage: int) -> None:
+    def add_pseudo(self, nodes) -> None:
         nodes = np.asarray(nodes, dtype=np.int64)
         if np.unique(nodes).size != nodes.size:
             raise ValueError("pseudo nodes must be distinct")
@@ -198,7 +195,6 @@ class NodePartition:
             raise ValueError("pseudo nodes must come from the unlabeled pool")
         self.unlabeled = np.setdiff1d(self.unlabeled, nodes)
         self.pseudo = np.concatenate([self.pseudo, nodes])
-        self.pseudo_stage = np.concatenate([self.pseudo_stage, np.full(nodes.size, stage, dtype=np.int64)])
 
     def train_pool(self) -> np.ndarray:
         """Labeled plus pseudo nodes, in selection order."""

@@ -34,21 +34,12 @@ class ModelParams:
     w2: np.ndarray        # (hidden, hidden)
     w_main: np.ndarray    # (hidden, c)
     w_pseudo: np.ndarray  # (hidden, c)
-    hidden: int
-    seed: int
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.w1.copy(), self.w2.copy(), self.w_main.copy(),
-                           self.w_pseudo.copy(), self.hidden, self.seed)
+        return ModelParams(self.w1.copy(), self.w2.copy(), self.w_main.copy(), self.w_pseudo.copy())
 
     def matrices(self):
         return {"w1": self.w1, "w2": self.w2, "w_main": self.w_main, "w_pseudo": self.w_pseudo}
-
-
-@dataclass(frozen=True)
-class ForwardOutput:
-    logits: np.ndarray  # (n, c) main-head logits
-    soft: np.ndarray    # (n, c) row softmax of logits
 
 
 @dataclass
@@ -116,8 +107,7 @@ def init_params(d: int, hidden: int, c: int, seed: int) -> ModelParams:
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
     return ModelParams(w1=glorot(d, hidden), w2=glorot(hidden, hidden),
-                       w_main=glorot(hidden, c), w_pseudo=glorot(hidden, c),
-                       hidden=hidden, seed=seed)
+                       w_main=glorot(hidden, c), w_pseudo=glorot(hidden, c))
 
 
 def softmax_rows(logits) -> np.ndarray:
@@ -130,22 +120,20 @@ def softmax_rows(logits) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def forward(params: ModelParams, view, features) -> ForwardOutput:
-    """Two aggregation rounds with a ramp nonlinearity after the first layer."""
+def forward(params: ModelParams, view, features) -> np.ndarray:
+    """Main-head logits (n, c): two aggregation rounds with a ramp nonlinearity
+    after the first layer. ``softmax_rows`` of them gives the soft labels."""
     x = np.asarray(features, dtype=np.float64)
     if view.n != x.shape[0]:
         raise ValueError(f"adjacency view has {view.n} nodes but features have {x.shape[0]} rows")
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} does not match model input dim {params.w1.shape[0]}")
-    a_hat = view.norm
-    act1 = np.maximum(a_hat @ x @ params.w1, 0.0)
-    logits = ((a_hat @ act1) @ params.w2) @ params.w_main
-    return ForwardOutput(logits=logits, soft=softmax_rows(logits))
+    return _extract_rows(params, view.norm @ x, view.norm)[2] @ params.w_main
 
 
 def predict(params: ModelParams, view, features) -> np.ndarray:
     """Argmax over main-head logits; ties resolve to the lowest class index."""
-    return np.argmax(forward(params, view, features).logits, axis=1)
+    return np.argmax(forward(params, view, features), axis=1)
 
 
 def _cross_entropy_rows(logits_rows, y):
@@ -195,11 +183,12 @@ def training_rows(view, features, main_idx, main_y, left_idx, left_y,
                         val_pos=np.searchsorted(rows, val_idx))
 
 
-def _extract_rows(params: ModelParams, rows: TrainingRows):
-    """First layer on all nodes, second aggregation and extractor output on R."""
-    pre1 = rows.x1 @ params.w1
+def _extract_rows(params: ModelParams, x1, a_rows):
+    """First layer on all nodes from x1 = Â·X, second aggregation and extractor
+    output on the rows of a_rows (Â itself, or Â[R] in training)."""
+    pre1 = x1 @ params.w1
     act1 = np.maximum(pre1, 0.0)
-    x2 = rows.a_rows @ act1
+    x2 = a_rows @ act1
     return pre1, x2, x2 @ params.w2
 
 
@@ -211,7 +200,7 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     Weight decay deliberately skips the pseudo head so that lambda_dual = 0
     leaves it untouched. Returns (loss, grads dict, main logits of the rows R).
     """
-    pre1, x2, h = _extract_rows(params, rows)
+    pre1, x2, h = _extract_rows(params, rows.x1, rows.a_rows)
     zm = h @ params.w_main
     zp = h @ params.w_pseudo
     if not (np.all(np.isfinite(zm)) and np.all(np.isfinite(zp))):

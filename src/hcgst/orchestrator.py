@@ -11,15 +11,15 @@ validation accuracy across stages is the final one.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .graph import Graph, NodePartition, k_hop_adjacency, true_homophily_profile
 from .homophily import bin_distribution, bin_index, estimate_homophily_profile, target_distribution
-from .metrics import CmdConfig, cmd, kl_divergence
-from .model import TrainConfig, _one_blas_thread, forward, init_params, train_dual
-from .pseudolabel import mix_outputs, assign_pseudo_labels
+from .metrics import cmd, kl_divergence
+from .model import TrainConfig, _one_blas_thread, forward, init_params, softmax_rows, train_dual
+from .pseudolabel import assign_pseudo_labels
 from .selection import SelectionProblem, candidate_set, optimize_selection, top_k
 
 logger = logging.getLogger(__name__)
@@ -82,9 +82,6 @@ class StageReport:
     val_acc: float
     test_acc: float
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
 
 @dataclass
 class BinReport:
@@ -96,9 +93,6 @@ class BinReport:
     ppv: float
     acc_backbone: float
     acc_st: float
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 @dataclass
@@ -121,10 +115,10 @@ class RunReport:
     params: object = field(default=None, repr=False)  # model state, excluded from to_dict
 
     def to_dict(self) -> dict:
-        out = {k: getattr(self, k) for k in self.__dataclass_fields__
-               if k not in ("stage_reports", "bin_report", "params")}
-        out["stages"] = [s.to_dict() for s in self.stage_reports]
-        out["bin_report"] = self.bin_report.to_dict()
+        """JSON form: the stage reports under ``stages``, the model state left out."""
+        out = asdict(replace(self, params=None))
+        del out["params"]
+        out["stages"] = out.pop("stage_reports")
         return out
 
 
@@ -231,8 +225,8 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             raise RuntimeError(f"training diverged at stage {stage}: {err}") from err
 
     params = train(0, empty, empty)
-    out = forward(params, view1, x)
-    backbone_preds = np.argmax(out.logits, axis=1)
+    logits = forward(params, view1, x)
+    backbone_preds = np.argmax(logits, axis=1)
     val_acc = _accuracy(backbone_preds, y_true, part.validation)
 
     true_profile = true_homophily_profile(graph)
@@ -245,7 +239,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     est_h = np.zeros(graph.n)
 
     for s in range(1, knobs.stages + 1):
-        soft = out.soft
+        soft = softmax_rows(logits)
         conf = soft.max(axis=1)
 
         override = dict(zip(part.train_pool().tolist(),
@@ -267,8 +261,8 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
 
             q = np.zeros(cands.size)  # a constant q ranks by confidence alone
             if knobs.optimized_selection:
-                problem = SelectionProblem(candidates=cands, cand_repr=out.logits[cands],
-                                           global_repr=out.logits, cand_homophily=est_h[cands],
+                problem = SelectionProblem(candidates=cands, cand_repr=logits[cands],
+                                           global_repr=logits, cand_homophily=est_h[cands],
                                            target=target, k=k_stage, lambda_s=knobs.lambda_s,
                                            n_bins=n_bins)
                 q = optimize_selection(problem).q
@@ -278,26 +272,23 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             if knobs.delta_h > 0:
                 if view_k is None:
                     view_k = k_hop_adjacency(graph, cfg.hop)
-                multi_logits = forward(params, view_k, x).logits
+                multi_logits = forward(params, view_k, x)
             else:
-                multi_logits = out.logits
-            mixed = mix_outputs(out.logits, multi_logits, est_h, knobs.delta_h)
+                multi_logits = logits
+            cand_labels, cand_multi_hop = assign_pseudo_labels(logits, multi_logits, est_h,
+                                                               knobs.delta_h, cands)
 
-            new_labels = assign_pseudo_labels(mixed, selected)
-            from_multi_hop = mixed.from_multi_hop[selected]
-            part.add_pseudo(selected, s)
+            picked = np.searchsorted(cands, selected)  # cands ascend
+            new_labels, from_multi_hop = cand_labels[picked], cand_multi_hop[picked]
+            part.add_pseudo(selected)
             pseudo_y = np.concatenate([pseudo_y, new_labels])
 
-            leftovers = np.setdiff1d(cands, selected)
-            if knobs.dual_head and leftovers.size:
-                leftover_pair = (leftovers, assign_pseudo_labels(mixed, leftovers))
-            else:
-                leftover_pair = empty
+            # the leftover candidates train the pseudo head, if the variant has one
+            rest = np.delete(np.arange(cands.size), picked) if knobs.dual_head else picked[:0]
+            params = train(s, (part.pseudo, pseudo_y), (cands[rest], cand_labels[rest]))
+            logits = forward(params, view1, x)  # also the next stage's selection pass
 
-            params = train(s, (part.pseudo, pseudo_y), leftover_pair)
-            out = forward(params, view1, x)  # also the next stage's selection pass
-
-        preds = np.argmax(out.logits, axis=1)
+        preds = np.argmax(logits, axis=1)
         val_acc = _accuracy(preds, y_true, part.validation)
         test_acc = _accuracy(preds, y_true, test_set)
         local = part.train_pool()
@@ -317,7 +308,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             kl_local_global_true=float(kl_divergence(bin_distribution(true_profile[local], n_bins),
                                                      global_true)),
             kl_local_global_est=float(kl_divergence(bin_distribution(est_h[local], n_bins), global_est)),
-            cmd_global_local=float(cmd(out.logits, out.logits[local], CmdConfig())),
+            cmd_global_local=float(cmd(logits, logits[local])),
             val_acc=float(val_acc),
             test_acc=float(test_acc),
         ))

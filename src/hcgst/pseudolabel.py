@@ -1,42 +1,27 @@
-"""Multi-hop output mixing and pseudo-label assignment."""
+"""Pseudo-label assignment through the multi-hop routing rule."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class MixedOutput:
-    """Per-node output rows routed between one-hop and multi-hop model passes.
+def assign_pseudo_labels(one_hop_logits, multi_hop_logits, est_homophily, delta_h: float, nodes):
+    """Argmax label of each node in ``nodes``, read from the multi-hop output
+    where its estimated homophily is below delta_h and from the one-hop output
+    otherwise; ties take the lowest class.
 
-    ``from_multi_hop[i]`` is True exactly when the node's estimated homophily
-    fell below the heterophily threshold.
+    Returns (labels, from_multi_hop), both co-indexed with ``nodes``.
     """
-
-    rows: np.ndarray
-    from_multi_hop: np.ndarray
-
-
-def mix_outputs(z_one_hop, h_multi_hop, est_homophily, delta_h: float) -> MixedOutput:
-    """Route nodes with estimated homophily below delta_h to the multi-hop output."""
-    z1 = np.asarray(z_one_hop, dtype=np.float64)
-    hk = np.asarray(h_multi_hop, dtype=np.float64)
+    z1 = np.asarray(one_hop_logits, dtype=np.float64)
+    hk = np.asarray(multi_hop_logits, dtype=np.float64)
     hh = np.asarray(est_homophily, dtype=np.float64)
+    nodes = np.asarray(nodes, dtype=np.int64)
     if z1.shape != hk.shape:
         raise ValueError(f"output shape mismatch: {z1.shape} vs {hk.shape}")
     if hh.shape[0] != z1.shape[0]:
         raise ValueError("homophily estimates must be co-indexed with output rows")
-    mask = hh < delta_h
-    return MixedOutput(rows=np.where(mask[:, None], hk, z1), from_multi_hop=mask)
-
-
-def assign_pseudo_labels(mixed: MixedOutput, pseudo_nodes) -> np.ndarray:
-    """Argmax label per pseudo-node from the mixed rows; ties take the lowest class."""
-    nodes = np.asarray(pseudo_nodes, dtype=np.int64)
-    if nodes.size == 0:
-        return np.empty(0, dtype=np.int64)
-    if nodes.min() < 0 or nodes.max() >= mixed.rows.shape[0]:
+    if nodes.size and (nodes.min() < 0 or nodes.max() >= z1.shape[0]):
         raise ValueError("pseudo node id outside [0, n)")
-    return np.argmax(mixed.rows[nodes], axis=1).astype(np.int64)
+    routed = hh[nodes] < delta_h
+    rows = np.where(routed[:, None], hk[nodes], z1[nodes])
+    return np.argmax(rows, axis=1).astype(np.int64), routed

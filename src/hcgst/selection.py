@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .homophily import bin_index
-from .metrics import CmdConfig, cmd_weighted_with_grad, kl_divergence_with_grad
+from .metrics import cmd_weighted_with_grad, kl_divergence_with_grad
 
-KL_EPS = 1e-8
 _ITERATIONS = 200
 _STEP_SIZE = 0.05
 _BISECTIONS = 50  # shrink the projection threshold's bracket [0, max v] by 2^-50
@@ -39,7 +38,6 @@ class SelectionProblem:
     k: int
     lambda_s: float
     n_bins: int
-    cmd_cfg: CmdConfig = field(default_factory=CmdConfig)
 
     def __post_init__(self):
         m = len(self.candidates)
@@ -89,11 +87,11 @@ def selection_bin_mass(q, cand_homophily, n_bins: int) -> np.ndarray:
 def selection_loss_and_grad(problem: SelectionProblem, q):
     """L_q, its gradient with respect to q, and the per-term breakdown."""
     q = np.asarray(q, dtype=np.float64)
-    cmd_val, cmd_grad = cmd_weighted_with_grad(problem.cand_repr, q, problem.global_repr, problem.cmd_cfg)
+    cmd_val, cmd_grad = cmd_weighted_with_grad(problem.cand_repr, q, problem.global_repr)
 
     idx = bin_index(problem.cand_homophily, problem.n_bins)
     mass = np.bincount(idx, weights=q, minlength=problem.n_bins)
-    kl_val, kl_mass_grad = kl_divergence_with_grad(mass, problem.target, KL_EPS)
+    kl_val, kl_mass_grad = kl_divergence_with_grad(mass, problem.target)
 
     loss = cmd_val + problem.lambda_s * kl_val
     grad = cmd_grad + problem.lambda_s * kl_mass_grad[idx]

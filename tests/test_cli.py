@@ -124,6 +124,37 @@ def test_run_degenerate_threshold_matches_backbone(tmp_path):
     assert back["bin_report"] == hc["bin_report"]
 
 
+def _one_class(graph):
+    n = len((graph / "labels.csv").read_text().splitlines())
+    (graph / "labels.csv").write_text("0\n" * n)
+
+
+def _no_edges(graph):
+    (graph / "edges.csv").write_text("src,dst\n")
+
+
+@pytest.mark.parametrize("degrade", [_one_class, _no_edges], ids=["one_class", "no_edges"])
+def test_run_degenerate_graph_exits_zero(tmp_path, degrade):
+    graph = _generate(tmp_path)
+    degrade(graph)
+    out = tmp_path / "deg"
+    assert main(["run", "--graph", str(graph), "--out", str(out), "--variant", "hcgst",
+                 *RUN_ARGS]) == 0
+    assert (out / "run_hcgst_0.json").exists()
+
+
+def test_run_without_candidates_keeps_backbone(tmp_path):
+    graph = _generate(tmp_path)
+    out = tmp_path / "deg"
+    # short training keeps every softmax below the near-one threshold
+    assert main(["run", "--graph", str(graph), "--out", str(out), "--variant", "hcgst",
+                 "--delta-c", "0.999", "--label-rate", "0.1", "--val-fraction", "0.1",
+                 "--epochs", "30", "--hidden", "12", "--learning-rate", "0.005"]) == 0
+    doc = json.loads((out / "run_hcgst_0.json").read_text())
+    assert doc["stages"] and all(s["selected"] == [] for s in doc["stages"])
+    assert doc["test_acc"] == doc["bin_report"]["acc_backbone"]
+
+
 def test_run_rejects_unknown_variant(tmp_path):
     graph = _generate(tmp_path)
     code = main(["run", "--graph", str(graph), "--out", str(tmp_path / "x"),
@@ -271,6 +302,20 @@ def test_sweep_emits_row_per_value(tmp_path):
     with open(out / "sweep.csv") as f:
         rows = list(csv.DictReader(f))
     assert [r["value"] for r in rows] == ["0.2", "0.4", "0.6"]
+
+
+def test_sweep_runs_every_listed_variant(tmp_path):
+    graph = _generate(tmp_path)
+    out = tmp_path / "sw"
+    args = ["sweep", "--graph", str(graph), "--out", str(out), "--param", "lambda_d",
+            "--values", "0.05,0.1", "--label-rate", "0.1", "--val-fraction", "0.1",
+            "--epochs", "30", "--stages", "1", "--hidden", "12"]
+    assert main([*args, "--variant", "st_confidence,hcgst"]) == 0
+    with open(out / "sweep.csv") as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["value"], r["variant"]) for r in rows] == [
+        ("0.05", "hcgst"), ("0.05", "st_confidence"), ("0.1", "hcgst"), ("0.1", "st_confidence")]
+    assert main([*args, "--variant", ""]) == 2
 
 
 def test_sweep_rejects_unknown_param(tmp_path):

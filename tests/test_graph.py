@@ -247,18 +247,16 @@ def test_partition_disjointness_enforced():
 
 def test_partition_pseudo_grows_from_unlabeled():
     part = make_partition(6, labeled=[0], validation=[1])
-    part.add_pseudo([2, 3], stage=1)
-    part.add_pseudo([4], stage=2)
+    part.add_pseudo([2, 3])
+    part.add_pseudo([4])
     assert part.pseudo.tolist() == [2, 3, 4]
-    assert part.pseudo_stage.tolist() == [1, 1, 2]
     assert part.unlabeled.tolist() == [5]
     with pytest.raises(ValueError):
-        part.add_pseudo([2], stage=3)  # already pseudo
+        part.add_pseudo([2])  # already pseudo
 
 
 def _partition_state(part):
-    return [a.tolist() for a in (part.labeled, part.validation, part.unlabeled,
-                                 part.pseudo, part.pseudo_stage)]
+    return [a.tolist() for a in (part.labeled, part.validation, part.unlabeled, part.pseudo)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -269,24 +267,24 @@ def test_partition_add_pseudo_keeps_sets_disjoint(n, data):
     n_val = data.draw(st.integers(0, n - n_lab))
     part = make_partition(n, order[:n_lab], order[n_lab:n_lab + n_val])
     node = st.integers(0, n - 1)
-    for stage in range(1, data.draw(st.integers(1, 6)) + 1):
+    for _ in range(data.draw(st.integers(1, 6))):
         nodes = data.draw(st.lists(node, max_size=5))
         before = _partition_state(part)
         valid = len(set(nodes)) == len(nodes) and set(nodes) <= set(before[2])
         if valid:
-            part.add_pseudo(nodes, stage)
+            part.add_pseudo(nodes)
         else:
             with pytest.raises(ValueError):
-                part.add_pseudo(nodes, stage)
+                part.add_pseudo(nodes)
             assert _partition_state(part) == before
-        sets = [set(s) for s in _partition_state(part)[:4]]
+        sets = [set(s) for s in _partition_state(part)]
         assert sum(map(len, sets)) == len(set().union(*sets)) == n
 
 
 def test_partition_rejects_duplicate_pseudo_nodes():
     part = make_partition(10, labeled=[0], validation=[1])
     with pytest.raises(ValueError, match="distinct"):
-        part.add_pseudo([5, 5], stage=1)
+        part.add_pseudo([5, 5])
     assert part.pseudo.size == 0 and 5 in part.unlabeled
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hcgst.metrics import (CmdConfig, cmd, cmd_weighted, cmd_weighted_with_grad,
                            kl_divergence, kl_divergence_with_grad)
@@ -17,6 +18,26 @@ def test_cmd_symmetry(seed):
     x = rng.standard_normal((15, 3))
     y = rng.standard_normal((9, 3))
     assert cmd(x, y) == pytest.approx(cmd(y, x), abs=1e-12)
+
+
+@st.composite
+def _integer_sample_pair(draw):
+    d = draw(st.integers(1, 5))
+    row = st.lists(st.integers(-10, 10), min_size=d, max_size=d)
+    x, y = (np.array(draw(st.lists(row, min_size=1, max_size=30)), dtype=np.float64)
+            for _ in range(2))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(_integer_sample_pair(), st.floats(0.1, 10.0), st.floats(-10.0, 10.0))
+def test_cmd_affine_invariant_and_symmetric(pair, a, b):
+    # the data-driven support scales by a and the central moments ignore b, so
+    # CMD is unchanged; abs covers rounding where the discrepancy is zero
+    x, y = pair
+    base = cmd(x, y)
+    assert cmd(a * x + b, a * y + b) == pytest.approx(base, rel=1e-9, abs=1e-12)
+    assert cmd(y, x) == base
 
 
 def test_cmd_first_moment_fixture():

@@ -78,7 +78,7 @@ def test_forward_no_edges_equals_per_row_mlp():
     out = forward(params, k_hop_adjacency(g, 1), g.features)
     act1 = np.maximum(g.features @ params.w1, 0.0)
     logits = (act1 @ params.w2) @ params.w_main
-    assert np.allclose(out.logits, logits, atol=1e-12)
+    assert np.allclose(out, logits, atol=1e-12)
 
 
 def test_forward_permutation_equivariance():
@@ -92,7 +92,7 @@ def test_forward_permutation_equivariance():
     edges_p = [(int(perm[a]), int(perm[b])) for a, b in edges]
     g_p = build_graph(edges_p, g.features[np.argsort(perm)])
     out_p = forward(params, k_hop_adjacency(g_p, 1), g_p.features)
-    assert np.allclose(out.logits, out_p.logits[perm], atol=1e-10)
+    assert np.allclose(out, out_p[perm], atol=1e-10)
 
 
 def _dense_norm(binary):
@@ -117,10 +117,10 @@ def test_forward_two_hop_path_matches_dense_oracle():
         act1 = np.maximum(dense @ g.features @ params.w1, 0.0)
         expected = ((dense @ act1) @ params.w2) @ params.w_main
         out = forward(params, k_hop_adjacency(g, k), g.features)
-        assert np.allclose(out.logits, expected, atol=1e-10)
+        assert np.allclose(out, expected, atol=1e-10)
 
-    one = forward(params, k_hop_adjacency(g, 1), g.features).logits
-    two = forward(params, k_hop_adjacency(g, 2), g.features).logits
+    one = forward(params, k_hop_adjacency(g, 1), g.features)
+    two = forward(params, k_hop_adjacency(g, 2), g.features)
     assert not np.allclose(one, two)
 
 

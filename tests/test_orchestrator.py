@@ -4,7 +4,7 @@ import pytest
 from hcgst.graph import k_hop_adjacency, make_partition
 from hcgst.homophily import bin_distribution, estimate_homophily_profile, target_distribution
 from hcgst.metrics import kl_divergence
-from hcgst.model import TrainConfig, forward, init_params, train_dual
+from hcgst.model import TrainConfig, forward, init_params, softmax_rows, train_dual
 from hcgst.orchestrator import (RunConfig, bias_metrics, per_bin_accuracy,
                                 run_self_training)
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
@@ -99,7 +99,7 @@ def test_requires_nonempty_labeled(small_graph):
 
 def test_rejects_partition_with_pseudo_nodes(small_graph):
     part = _partition(small_graph)
-    part.add_pseudo(part.unlabeled[:2], 1)
+    part.add_pseudo(part.unlabeled[:2])
     with pytest.raises(ValueError, match="pseudo nodes"):
         run_self_training(small_graph, part, _cfg())
 
@@ -118,7 +118,7 @@ def test_kl_picks_target_recomputed_from_first_stage_picks(small_graph, variant)
     backbone = train_dual(init_params(small_graph.d, cfg.hidden, small_graph.c, cfg.seed),
                           small_graph, view, (part.labeled, y[part.labeled]), empty, empty,
                           cfg.train, cfg.lambda_d, validation=(part.validation, y[part.validation]))
-    soft = forward(backbone, view, small_graph.features).soft
+    soft = softmax_rows(forward(backbone, view, small_graph.features))
     est_h = estimate_homophily_profile(soft, small_graph, {int(v): int(y[v]) for v in part.labeled})
     target = target_distribution(bin_distribution(est_h, cfg.n_bins),
                                  bin_distribution(est_h[part.labeled], cfg.n_bins), part.labeled.size)
@@ -143,7 +143,7 @@ def test_no_candidates_degenerates_to_backbone(small_graph):
     backbone = run_self_training(small_graph, _partition(small_graph),
                            _cfg(variant="backbone_only", train=gentle))
     assert degenerate.final_pseudo_count == 0
-    assert degenerate.bin_report.to_dict() == backbone.bin_report.to_dict()
+    assert degenerate.bin_report == backbone.bin_report
     assert degenerate.test_acc == backbone.test_acc
 
 
