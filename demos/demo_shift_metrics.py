@@ -8,8 +8,7 @@ binned homophily distributions.
 
 import numpy as np
 
-from hcgst import (CmdConfig, bin_distribution, cmd, cmd_weighted,
-                   cmd_weighted_with_grad, kl_divergence)
+from hcgst import CmdConfig, bin_distribution, cmd, cmd_weighted_with_grad, kl_divergence
 
 rng = np.random.default_rng(0)
 
@@ -25,8 +24,8 @@ base = np.concatenate([rng.normal(-2, 0.3, size=(50, 2)), rng.normal(2, 0.3, siz
 target = rng.normal(2, 0.3, size=(80, 2))
 uniform = np.full(100, 0.5)
 skewed = np.concatenate([np.full(50, 0.02), np.full(50, 0.98)])
-print(f"\ncmd_weighted(base, uniform, target) = {cmd_weighted(base, uniform, target):.4f}")
-print(f"cmd_weighted(base, skewed,  target) = {cmd_weighted(base, skewed, target):.4f}")
+print(f"\ncmd_weighted(base, uniform, target) = {cmd_weighted_with_grad(base, uniform, target)[0]:.4f}")
+print(f"cmd_weighted(base, skewed,  target) = {cmd_weighted_with_grad(base, skewed, target)[0]:.4f}")
 
 # the gradient says which weights to move to shrink the discrepancy
 val, grad = cmd_weighted_with_grad(base, uniform, target)

@@ -11,8 +11,7 @@ from .graph import (AdjacencyView, Graph, NodePartition, build_graph, graph_homo
                     true_homophily_profile, true_node_homophily)
 from .homophily import (bin_distribution, estimate_homophily_profile, estimate_node_homophily,
                         target_distribution)
-from .metrics import (CmdConfig, cmd, cmd_weighted, cmd_weighted_with_grad,
-                      kl_divergence, kl_divergence_with_grad)
+from .metrics import CmdConfig, cmd, cmd_weighted_with_grad, kl_divergence, kl_divergence_with_grad
 from .model import (ModelParams, TrainConfig, forward, gradient_check, init_params, predict,
                     softmax_rows, train_dual)
 from .orchestrator import (BinReport, RunConfig, RunReport, StageReport, VARIANTS,

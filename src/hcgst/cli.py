@@ -103,6 +103,8 @@ def _merge_options(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         with open(args.config) as f:
             loaded = json.load(f)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object, got {loaded!r}")
         unknown = set(loaded) - set(_RUN_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -131,14 +133,18 @@ def _variants(opts: dict) -> list:
     variants = [v.strip() for v in opts["variant"].split(",") if v.strip()]
     if not variants:
         raise ValueError("--variant names no variant")
+    if len(set(variants)) < len(variants):
+        raise ValueError(f"--variant names a variant twice: {opts['variant']!r}")
     return variants
 
 
-def _run_config(opts: dict, variant: str, seed: int, **overrides) -> RunConfig:
+def _configs(opts: dict, **overrides) -> list:
+    """One RunConfig per listed variant and repeat seed, variant-major."""
     fields = {name: opts[_option(name)] for name in _CONFIG_DEFAULTS}
-    fields.update(variant=variant, seed=seed, **overrides)
+    fields.update(overrides)
     train = TrainConfig(**{name: opts[name] for name in _TRAIN_DEFAULTS})
-    return RunConfig(train=train, **fields)
+    return [RunConfig(train=train, **{**fields, "variant": v, "seed": opts["seed"] + i})
+            for v in _variants(opts) for i in range(opts["repeat"])]
 
 
 def build_partition(graph, label_rate: float, bias_mode: str, n_bins: int,
@@ -190,6 +196,9 @@ def _write_csv(path: Path, header, rows) -> None:
         w.writerows(rows)
 
 
+_REPORT_KEYS = ("acc_st", "tpv", "npv", "ppv", "acc_backbone")  # bin_report keys aggregated
+
+
 def _aggregate_rows(reports):
     """One row per variant: mean/stdev of ACC, TPV, NPV, PPV across seeds."""
     header = ["variant", "n_seeds", "acc_mean", "acc_std", "tpv_mean", "tpv_std",
@@ -198,34 +207,32 @@ def _aggregate_rows(reports):
     for rep in reports:
         by_variant.setdefault(rep["variant"], []).append(rep)
     rows = []
-    for variant in sorted(by_variant):
-        group = by_variant[variant]
-
-        def stats(key):
+    for variant, group in sorted(by_variant.items()):
+        row = [variant, len(group)]
+        for key in _REPORT_KEYS:
             vals = [r["bin_report"][key] for r in group]
-            mean = statistics.fmean(vals)
-            std = statistics.stdev(vals) if len(vals) > 1 else 0.0
-            return mean, std
-
-        acc = stats("acc_st")
-        tpv = stats("tpv")
-        npv = stats("npv")
-        ppv = stats("ppv")
-        back = stats("acc_backbone")
-        rows.append([variant, len(group), acc[0], acc[1], tpv[0], tpv[1],
-                     npv[0], npv[1], ppv[0], ppv[1], back[0]])
+            row += [statistics.fmean(vals), statistics.stdev(vals) if len(vals) > 1 else 0.0]
+        rows.append(row[:-1])  # no stdev column for the backbone accuracy
     return header, rows
+
+
+def _check_run_doc(path: Path, doc):
+    """``doc`` if it holds what ``_aggregate_rows`` reads, else a ValueError naming ``path``."""
+    bins = doc.get("bin_report") if isinstance(doc, dict) else None
+    if not (isinstance(bins, dict) and isinstance(doc.get("variant"), str) and all(
+            isinstance(bins.get(key), (int, float)) and not isinstance(bins[key], bool)
+            for key in _REPORT_KEYS)):
+        raise ValueError(f"{path} is not a run report: it needs a string 'variant' and "
+                         f"real bin_report values {', '.join(_REPORT_KEYS)}")
+    return doc
 
 
 def _write_run_outputs(out_dir: Path, reports) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    dicts = []
-    for rep in reports:
-        payload = rep.to_dict()
-        dicts.append(payload)
-        doc = dict(payload)
-        doc["generated_at"] = datetime.now(timezone.utc).isoformat()
-        _write_json(out_dir / f"run_{rep.variant}_{rep.seed}.json", doc)
+    dicts = [rep.to_dict() for rep in reports]
+    for doc in dicts:
+        _write_json(out_dir / f"run_{doc['variant']}_{doc['seed']}.json",
+                    {**doc, "generated_at": datetime.now(timezone.utc).isoformat()})
 
     header, rows = _aggregate_rows(dicts)
     _write_csv(out_dir / "aggregate.csv", header, rows)
@@ -265,10 +272,7 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     opts = _merge_options(args)
     graph = load_graph_dir(opts["graph"])
-    variants = _variants(opts)
-    configs = [_run_config(opts, v, opts["seed"] + i)
-               for v in variants for i in range(opts["repeat"])]
-    reports = _execute_runs(graph, opts, configs)
+    reports = _execute_runs(graph, opts, _configs(opts))
     _write_run_outputs(Path(opts["out"]), reports)
     print(f"wrote {len(reports)} run reports to {opts['out']}")
     return 0
@@ -281,19 +285,17 @@ def cmd_sweep(args) -> int:
     values = ([float(v) for v in args.values.split(",")] if args.values is not None
               else SWEEP_GRIDS[args.param])
     graph = load_graph_dir(opts["graph"])
-    variants = _variants(opts)
-
+    per_value = [_configs(opts, **{args.param: value}) for value in values]
+    # one pool for every value's runs; the reports come back in config order
+    reports = [r.to_dict() for r in
+               _execute_runs(graph, opts, [cfg for configs in per_value for cfg in configs])]
+    n = len(per_value[0])
+    all_rows = []
+    for i, value in enumerate(values):
+        header, rows = _aggregate_rows(reports[i * n:(i + 1) * n])
+        all_rows.extend([args.param, value] + row for row in rows)
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    header = None
-    all_rows = []
-    for value in values:
-        configs = [_run_config(opts, v, opts["seed"] + i, **{args.param: value})
-                   for v in variants for i in range(opts["repeat"])]
-        reports = _execute_runs(graph, opts, configs)
-        header, rows = _aggregate_rows([r.to_dict() for r in reports])
-        for row in rows:
-            all_rows.append([args.param, value] + row)
     _write_csv(out_dir / "sweep.csv", ["param", "value"] + header, all_rows)
     print(f"wrote sweep over {args.param} ({len(values)} values) to {out_dir / 'sweep.csv'}")
     return 0
@@ -307,7 +309,7 @@ def cmd_report(args) -> int:
     dicts = []
     for path in files:
         with open(path) as f:
-            dicts.append(json.load(f))
+            dicts.append(_check_run_doc(path, json.load(f)))
     header, rows = _aggregate_rows(dicts)
     out = Path(args.out) if args.out else run_dir / "aggregate.csv"
     _write_csv(out, header, rows)

@@ -50,12 +50,15 @@ def _as_samples(x, name) -> np.ndarray:
     return x
 
 
-def _support_scale(x, y, cfg: CmdConfig) -> float:
+def _paired_samples(x, y, cfg: CmdConfig):
+    """X and Y as checked sample matrices of equal width, and the support width |b - a|."""
+    x = _as_samples(x, "X")
+    y = _as_samples(y, "Y")
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"dimension mismatch: X has {x.shape[1]} columns, Y has {y.shape[1]}")
     if cfg.support_lo is not None and cfg.support_hi is not None:
-        return float(cfg.support_hi - cfg.support_lo)
-    lo = min(x.min(), y.min())
-    hi = max(x.max(), y.max())
-    return float(hi - lo)
+        return x, y, float(cfg.support_hi - cfg.support_lo)
+    return x, y, float(max(x.max(), y.max()) - min(x.min(), y.min()))
 
 
 def _moment_stats(x, weights=None):
@@ -69,11 +72,7 @@ def _moment_stats(x, weights=None):
 
 def cmd(x, y, cfg: CmdConfig = CmdConfig()) -> float:
     """Central moment discrepancy between two sample sets of equal dimension."""
-    x = _as_samples(x, "X")
-    y = _as_samples(y, "Y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: X has {x.shape[1]} columns, Y has {y.shape[1]}")
-    scale = _support_scale(x, y, cfg)
+    x, y, scale = _paired_samples(x, y, cfg)
     if scale == 0.0:
         return 0.0
     mx, ux = _moment_stats(x)
@@ -99,25 +98,17 @@ def _normalize_weights(x, weights) -> np.ndarray:
     return w / total
 
 
-def cmd_weighted(x, weights, y, cfg: CmdConfig = CmdConfig()) -> float:
-    """CMD with X's moments weight-averaged; uniform weights reduce to cmd()."""
-    return cmd_weighted_with_grad(x, weights, y, cfg)[0]
-
-
 def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig()):
     """Weighted CMD and its gradient with respect to the raw weights.
 
+    X's moments are weight-averaged, so uniform weights reduce to cmd().
     Returns (value, grad) where grad[j] = d CMD / d weights[j]. Support
     bounds, when data-driven, are treated as constants of the gradient.
     """
-    x = _as_samples(x, "X")
-    y = _as_samples(y, "Y")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError(f"dimension mismatch: X has {x.shape[1]} columns, Y has {y.shape[1]}")
+    x, y, scale = _paired_samples(x, y, cfg)
     w_raw = np.asarray(weights, dtype=np.float64)
     p = _normalize_weights(x, w_raw)
     total_w = w_raw.sum()
-    scale = _support_scale(x, y, cfg)
     if scale == 0.0:
         return 0.0, np.zeros_like(w_raw)
 
@@ -155,9 +146,10 @@ def kl_divergence(p_counts, q_counts, eps: float = 1e-8) -> float:
     """KL divergence between two binned distributions after additive smoothing.
 
     Both count vectors are shifted by ``eps`` and normalized before
-    sum_i p_i * ln(p_i / q_i) is evaluated, so zero bins stay finite.
+    sum_i p_i * ln(p_i / q_i) is evaluated, so zero bins stay finite. Near-equal
+    inputs can round that sum a few ulps below zero; the value is clamped to 0.
     """
-    return kl_divergence_with_grad(p_counts, q_counts, eps)[0]
+    return max(kl_divergence_with_grad(p_counts, q_counts, eps)[0], 0.0)
 
 
 def kl_divergence_with_grad(p_counts, q_counts, eps: float = 1e-8):

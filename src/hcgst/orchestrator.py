@@ -59,9 +59,6 @@ class RunConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class StageReport:
@@ -205,7 +202,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     x = graph.features
     n_bins = cfg.n_bins
     k_stage = cfg.k_per_stage if cfg.k_per_stage is not None else int(part.labeled.size)
-    lambda_dual = cfg.lambda_d if knobs.dual_head else 0.0
 
     view1 = k_hop_adjacency(graph, 1)
     view_k = None
@@ -220,7 +216,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         try:
             return train_dual(init_params(graph.d, cfg.hidden, graph.c, cfg.seed), graph, view1,
                               (part.labeled, y_true[part.labeled]), pseudo_pair, leftover_pair,
-                              cfg.train, lambda_dual, validation=val_pair)
+                              cfg.train, cfg.lambda_d, validation=val_pair)
         except RuntimeError as err:
             raise RuntimeError(f"training diverged at stage {stage}: {err}") from err
 
@@ -283,7 +279,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             part.add_pseudo(selected)
             pseudo_y = np.concatenate([pseudo_y, new_labels])
 
-            # the leftover candidates train the pseudo head, if the variant has one
+            # the leftover candidates train the pseudo head; an empty pair switches it off
             rest = np.delete(np.arange(cands.size), picked) if knobs.dual_head else picked[:0]
             params = train(s, (part.pseudo, pseudo_y), (cands[rest], cand_labels[rest]))
             logits = forward(params, view1, x)  # also the next stage's selection pass
@@ -340,7 +336,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
                                   bin_distribution(est_h, n_bins))
                     if knobs.stages > 0 else float("nan"))
     return RunReport(
-        variant=cfg.variant, seed=cfg.seed, config=cfg.to_dict(),
+        variant=cfg.variant, seed=cfg.seed, config=asdict(cfg),
         stage_reports=stage_reports, best_stage=best_stage,
         val_acc=best_val, test_acc=bin_report.acc_st, bin_report=bin_report,
         final_pseudo_count=int(part.pseudo.size),

@@ -1,9 +1,11 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from hcgst import cli
 from hcgst.cli import SWEEP_GRIDS, build_parser, main
 from hcgst.orchestrator import RunConfig
 from hcgst.synth import SynthConfig
@@ -83,14 +85,14 @@ def test_run_without_tuning_flags_records_dataclass_defaults(tmp_path):
                  "--seed", "4", "--repeat", "2", "--label-rate", "0.1", "--val-fraction", "0.1"]) == 0
     for seed in (4, 5):
         doc = json.loads((out / f"run_backbone_only_{seed}.json").read_text())
-        assert doc["config"] == RunConfig(variant="backbone_only", seed=seed).to_dict()
+        assert doc["config"] == dataclasses.asdict(RunConfig(variant="backbone_only", seed=seed))
 
 
 def test_run_help_shows_dataclass_defaults(capsys):
     with pytest.raises(SystemExit):
         main(["run", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    defaults = RunConfig().to_dict()
+    defaults = dataclasses.asdict(RunConfig())
     defaults.update(defaults.pop("train"))
     del defaults["k_per_stage"]  # None: the labeled-set size, said in words
     for name, value in defaults.items():
@@ -318,6 +320,22 @@ def test_sweep_runs_every_listed_variant(tmp_path):
     assert main([*args, "--variant", ""]) == 2
 
 
+def test_sweep_runs_every_value_in_one_execute_runs_call(tmp_path, monkeypatch):
+    graph = _generate(tmp_path)
+    batches = []
+    execute_runs = cli._execute_runs
+
+    def recording(graph, opts, configs):
+        batches.append([cfg.delta_h for cfg in configs])
+        return execute_runs(graph, opts, configs)
+
+    monkeypatch.setattr(cli, "_execute_runs", recording)
+    assert main(["sweep", "--graph", str(graph), "--out", str(tmp_path / "sw"),
+                 "--param", "delta_h", "--values", "0.2,0.4,0.6", "--label-rate", "0.1",
+                 "--val-fraction", "0.1", "--epochs", "5", "--stages", "1", "--hidden", "12"]) == 0
+    assert batches == [[0.2, 0.4, 0.6]]
+
+
 def test_sweep_rejects_unknown_param(tmp_path):
     graph = _generate(tmp_path)
     code = main(["sweep", "--graph", str(graph), "--out", str(tmp_path / "x"),
@@ -336,17 +354,53 @@ def test_report_reaggregates(tmp_path):
     assert (out / "aggregate.csv").read_bytes() == agg
 
 
+_BIN_REPORT = {"acc_st": 0.5, "tpv": 0.0, "npv": 0.0, "ppv": 0.0, "acc_backbone": 0.5}
+
+
+@pytest.mark.parametrize("source, payload, message", [
+    ("report", {}, "run_hcgst_0.json is not a run report"),
+    ("report", {"variant": "hcgst", "bin_report": {**_BIN_REPORT, "acc_st": None}},
+     "run_hcgst_0.json is not a run report"),
+    ("config", 5, "must hold a JSON object"),
+    ("config", [1], "must hold a JSON object"),
+    ("run", "hcgst,hcgst", "names a variant twice"),
+    ("sweep", "hcgst,hcgst", "names a variant twice"),
+], ids=["report_empty", "report_null_acc", "config_number", "config_list", "run_twice",
+        "sweep_twice"])
+def test_malformed_inputs_are_config_errors(tmp_path, capsys, source, payload, message):
+    out = tmp_path / "out"
+    if source == "report":
+        (tmp_path / "run_hcgst_0.json").write_text(json.dumps(payload))
+        argv = ["report", "--runs", str(tmp_path), "--out", str(out)]
+    elif source == "config":
+        (tmp_path / "spec.json").write_text(json.dumps(payload))
+        argv = ["run", "--config", str(tmp_path / "spec.json"), "--graph", "g", "--out", str(out)]
+    else:
+        swept = ["--param", "lambda_d", "--values", "0.1"] if source == "sweep" else []
+        argv = [source, "--graph", str(_generate(tmp_path)), "--out", str(out),
+                "--variant", payload, *swept]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_report_rejects_empty_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     assert main(["report", "--runs", str(tmp_path / "empty")]) == 2
 
 
-def test_parallel_jobs_match_serial(tmp_path):
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_parallel_jobs_match_serial(tmp_path, command):
     graph = _generate(tmp_path)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+    swept = ["--param", "lambda_d", "--values", "0.05,0.1"] if command == "sweep" else []
     for out, jobs in ((serial, "1"), (parallel, "2")):
-        assert main(["run", "--graph", str(graph), "--out", str(out),
-                     "--variant", "hcgst", "--repeat", "2", "--jobs", jobs, *RUN_ARGS]) == 0
+        assert main([command, "--graph", str(graph), "--out", str(out), "--variant", "hcgst",
+                     "--repeat", "2", "--jobs", jobs, *swept, *RUN_ARGS]) == 0
+    if command == "sweep":
+        assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+        return
     for seed in (0, 1):
         a = _strip_timestamp(serial / f"run_hcgst_{seed}.json")
         b = _strip_timestamp(parallel / f"run_hcgst_{seed}.json")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hcgst.metrics import (CmdConfig, cmd, cmd_weighted, cmd_weighted_with_grad,
+from hcgst.metrics import (CmdConfig, cmd, cmd_weighted_with_grad,
                            kl_divergence, kl_divergence_with_grad)
 
 
@@ -40,6 +40,29 @@ def test_cmd_affine_invariant_and_symmetric(pair, a, b):
     assert cmd(y, x) == base
 
 
+@st.composite
+def _weighted_sample_pair(draw):
+    """An affinely mapped integer pair, weights in [0, 1] with a positive total, and K."""
+    x, y = draw(_integer_sample_pair())
+    a, b = draw(st.floats(0.1, 10.0)), draw(st.floats(-10.0, 10.0))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=len(x), max_size=len(x))))
+    assume(w.sum() > 0)
+    return a * x + b, w, a * y + b, draw(st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weighted_sample_pair())
+def test_cmd_scale_bounds(case):
+    # after dividing by |b - a| the mean term is at most sqrt(d) and each of the
+    # K - 1 central-moment terms at most 2 sqrt(d); the factor allows rounding
+    x, w, y, max_order = case
+    cfg = CmdConfig(max_order=max_order)
+    bound = (2 * max_order - 1) * np.sqrt(x.shape[1]) * (1 + 1e-9)
+    assert 0.0 <= cmd(x, y, cfg) <= bound
+    with np.errstate(divide="ignore", over="ignore"):  # a tiny weight total overflows the gradient
+        assert 0.0 <= cmd_weighted_with_grad(x, w, y, cfg)[0] <= bound
+
+
 def test_cmd_first_moment_fixture():
     # ||0 - 1|| / |1 - 0| with only the first moment
     cfg = CmdConfig(max_order=1, support_lo=0.0, support_hi=1.0)
@@ -75,7 +98,7 @@ def test_cmd_weighted_uniform_matches_unweighted():
     x = rng.standard_normal((25, 5))
     y = rng.standard_normal((10, 5))
     w = np.full(25, 0.37)
-    assert cmd_weighted(x, w, y) == pytest.approx(cmd(x, y), abs=1e-10)
+    assert cmd_weighted_with_grad(x, w, y)[0] == pytest.approx(cmd(x, y), abs=1e-10)
 
 
 def test_cmd_weighted_one_hot_degenerates_to_single_row():
@@ -87,24 +110,24 @@ def test_cmd_weighted_one_hot_degenerates_to_single_row():
     lo = min(x.min(), y.min())
     hi = max(x.max(), y.max())
     cfg = CmdConfig(support_lo=lo, support_hi=hi)  # pin support so both calls agree
-    assert cmd_weighted(x, w, y, cfg) == pytest.approx(cmd(x[2:3], y, cfg), abs=1e-10)
+    assert cmd_weighted_with_grad(x, w, y, cfg)[0] == pytest.approx(cmd(x[2:3], y, cfg), abs=1e-10)
 
 
 def test_cmd_weighted_mean_fixture():
     # weighted mean 0.75*0 + 0.25*2 = 0.5 equals the target mean
     cfg = CmdConfig(max_order=1, support_lo=0.0, support_hi=2.0)
-    val = cmd_weighted([[0.0], [2.0]], [0.75, 0.25], [[0.5]], cfg)
+    val = cmd_weighted_with_grad([[0.0], [2.0]], [0.75, 0.25], [[0.5]], cfg)[0]
     assert val == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cmd_weighted_rejects_zero_total():
     with pytest.raises(ValueError, match="positive total"):
-        cmd_weighted(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2)))
+        cmd_weighted_with_grad(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2)))
 
 
 def test_cmd_weighted_rejects_out_of_box_weights():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
-        cmd_weighted(np.zeros((2, 2)), [0.5, 1.5], np.zeros((2, 2)))
+        cmd_weighted_with_grad(np.zeros((2, 2)), [0.5, 1.5], np.zeros((2, 2)))
 
 
 def test_kl_identical_is_zero():
@@ -124,12 +147,15 @@ def test_kl_hand_fixture():
     assert val == pytest.approx(0.75 * np.log(1.5) + 0.25 * np.log(0.5), abs=1e-6)
 
 
-def test_kl_non_negative():
-    rng = np.random.default_rng(12)
-    for _ in range(50):
-        p = rng.random(8) * rng.integers(0, 2, size=8)
-        q = rng.random(8) * rng.integers(0, 2, size=8)
-        assert kl_divergence(p, q) >= 0.0
+def _bins(n, lo=0.0, hi=1.0):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(_bins(n), _bins(n))))
+def test_kl_non_negative(pq):
+    p, q = pq
+    assert kl_divergence(p, q) >= 0.0
 
 
 def test_kl_rejects_bin_mismatch():
@@ -152,24 +178,35 @@ def _rel_err(a, b):
     return np.max(np.abs(a - b) / denom)
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_cmd_weighted_grad_matches_finite_differences(seed):
+# The finite-difference properties draw continuous samples from a seed: on
+# lattice draws the exact gradient can be 0 where the difference quotient's
+# rounding (~1e-11) already exceeds the 1e-8 floor of _rel_err.
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@pytest.mark.parametrize("n_central", range(5))  # central-moment terms, max_order - 1
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.integers(1, 4), _SEEDS)
+def test_cmd_weighted_grad_matches_finite_differences(n_central, rows, d, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((10, 3))
-    y = rng.standard_normal((14, 3))
-    w = rng.uniform(0.1, 0.9, size=10)
-    cfg = CmdConfig(support_lo=float(min(x.min(), y.min())),
+    x = rng.standard_normal((rows, d))
+    y = rng.standard_normal((14, d))
+    w = rng.uniform(0.1, 0.9, size=rows)
+    cfg = CmdConfig(max_order=n_central + 1, support_lo=float(min(x.min(), y.min())),
                     support_hi=float(max(x.max(), y.max())))
     _, grad = cmd_weighted_with_grad(x, w, y, cfg)
-    fd = _fd_grad(lambda ww: cmd_weighted(x, ww, y, cfg), w)
+    fd = _fd_grad(lambda ww: cmd_weighted_with_grad(x, ww, y, cfg)[0], w)
     assert _rel_err(grad, fd) <= 1e-4
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_kl_grad_matches_finite_differences(seed):
+@pytest.mark.parametrize("n_empty", range(5))  # bins of Q that hold no count
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 10), _SEEDS)
+def test_kl_grad_matches_finite_differences(n_empty, n_bins, seed):
     rng = np.random.default_rng(seed)
-    p = rng.uniform(0.5, 5.0, size=6)
-    q = rng.uniform(0.0, 5.0, size=6)
+    p = rng.uniform(0.5, 5.0, size=n_bins)
+    q = rng.uniform(0.0, 5.0, size=n_bins)
+    q[:n_empty] = 0.0
     _, grad = kl_divergence_with_grad(p, q)
     fd = _fd_grad(lambda pp: kl_divergence(pp, q), p)
     assert _rel_err(grad, fd) <= 1e-4
