@@ -51,23 +51,34 @@ def _as_samples(x, name) -> np.ndarray:
 
 
 def _paired_samples(x, y, cfg: CmdConfig):
-    """X and Y as checked sample matrices of equal width, and the support width |b - a|."""
+    """X and Y as checked sample matrices of equal width, and the support width |b - a|.
+
+    CMD does not change when both sets and the support are divided by the
+    width, so when the width's K-th power underflows (0/0 in the top moment
+    term), the sets are divided by the width and the width becomes 1.
+    """
     x = _as_samples(x, "X")
     y = _as_samples(y, "Y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: X has {x.shape[1]} columns, Y has {y.shape[1]}")
     if cfg.support_lo is not None and cfg.support_hi is not None:
-        return x, y, float(cfg.support_hi - cfg.support_lo)
-    return x, y, float(max(x.max(), y.max()) - min(x.min(), y.min()))
-
-
-def _moment_stats(x, weights=None):
-    """Weighted mean and central moment matrix U = x - mean."""
-    if weights is None:
-        mean = x.mean(axis=0)
+        scale = float(cfg.support_hi - cfg.support_lo)
     else:
-        mean = weights @ x
-    return mean, x - mean
+        scale = float(max(x.max(), y.max()) - min(x.min(), y.min()))
+    if scale > 0.0 and scale**cfg.max_order == 0.0:
+        return x / scale, y / scale, 1.0
+    return x, y, scale
+
+
+def _moments(x, max_order: int) -> list:
+    """The mean of the rows of x, then their central-moment means of orders 2..max_order."""
+    mean = x.mean(axis=0)
+    u = x - mean
+    out, uk = [mean], u
+    for _ in range(2, max_order + 1):
+        uk = uk * u
+        out.append(np.mean(uk, axis=0))
+    return out
 
 
 def cmd(x, y, cfg: CmdConfig = CmdConfig()) -> float:
@@ -75,15 +86,8 @@ def cmd(x, y, cfg: CmdConfig = CmdConfig()) -> float:
     x, y, scale = _paired_samples(x, y, cfg)
     if scale == 0.0:
         return 0.0
-    mx, ux = _moment_stats(x)
-    my, uy = _moment_stats(y)
-    total = np.linalg.norm(mx - my) / scale
-    uxk, uyk = ux, uy
-    for k in range(2, cfg.max_order + 1):
-        uxk = uxk * ux
-        uyk = uyk * uy
-        total += np.linalg.norm(np.mean(uxk, axis=0) - np.mean(uyk, axis=0)) / scale**k
-    return float(total)
+    pairs = zip(_moments(x, cfg.max_order), _moments(y, cfg.max_order))
+    return float(sum(np.linalg.norm(mx - my) / scale**k for k, (mx, my) in enumerate(pairs, 1)))
 
 
 def _normalize_weights(x, weights) -> np.ndarray:
@@ -98,28 +102,39 @@ def _normalize_weights(x, weights) -> np.ndarray:
     return w / total
 
 
-def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig()):
+def cmd_fixed_terms(x, y, cfg: CmdConfig = CmdConfig()):
+    """The part of a weighted CMD of X against Y that no weight vector changes:
+    X as a checked sample matrix, Y's moments (mean, then central-moment means
+    of orders 2..K) and the support width. Pass it as ``fixed`` to
+    :func:`cmd_weighted_with_grad` to compute it once for many weight vectors."""
+    x, y, scale = _paired_samples(x, y, cfg)
+    return x, _moments(y, cfg.max_order), scale
+
+
+def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig(), fixed=None):
     """Weighted CMD and its gradient with respect to the raw weights.
 
     X's moments are weight-averaged, so uniform weights reduce to cmd().
     Returns (value, grad) where grad[j] = d CMD / d weights[j]. Support
     bounds, when data-driven, are treated as constants of the gradient.
+    ``fixed``, if given, is ``cmd_fixed_terms(x, y, cfg)`` of the same
+    arguments; the result is the same to the bit.
     """
-    x, y, scale = _paired_samples(x, y, cfg)
+    x, y_moments, scale = cmd_fixed_terms(x, y, cfg) if fixed is None else fixed
     w_raw = np.asarray(weights, dtype=np.float64)
     p = _normalize_weights(x, w_raw)
     total_w = w_raw.sum()
     if scale == 0.0:
         return 0.0, np.zeros_like(w_raw)
 
-    mx, ux = _moment_stats(x, weights=p)
-    my, uy = _moment_stats(y)
+    mx = p @ x
+    ux = x - mx
 
     value = 0.0
     grad = np.zeros_like(w_raw)
 
     # first-moment term; d mean / d w_j = u_j / W
-    diff = mx - my
+    diff = mx - y_moments[0]
     nrm = np.linalg.norm(diff)
     value += nrm / scale
     if nrm > _NORM_FLOOR:
@@ -127,12 +142,11 @@ def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig()):
 
     # central moments; d c_k / d w_j = (u_j^k - c_k - k * c_{k-1} * u_j) / W
     ck_prev = np.zeros(x.shape[1])
-    uk, uyk = ux, uy
+    uk = ux
     for k in range(2, cfg.max_order + 1):
         uk = uk * ux
-        uyk = uyk * uy
         ck_x = p @ uk
-        diff = ck_x - np.mean(uyk, axis=0)
+        diff = ck_x - y_moments[k - 1]
         nrm = np.linalg.norm(diff)
         value += nrm / scale**k
         if nrm > _NORM_FLOOR:

@@ -122,13 +122,18 @@ def softmax_rows(logits) -> np.ndarray:
 
 def forward(params: ModelParams, view, features) -> np.ndarray:
     """Main-head logits (n, c): two aggregation rounds with a ramp nonlinearity
-    after the first layer. ``softmax_rows`` of them gives the soft labels."""
+    after the first layer. ``softmax_rows`` of them gives the soft labels.
+
+    The second layer is linear, so it is folded into the head first and the
+    second aggregation runs c columns wide: Â·(relu(Â·X·W1)·(W2·W_main)).
+    """
     x = np.asarray(features, dtype=np.float64)
     if view.n != x.shape[0]:
         raise ValueError(f"adjacency view has {view.n} nodes but features have {x.shape[0]} rows")
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} does not match model input dim {params.w1.shape[0]}")
-    return _extract_rows(params, view.norm @ x, view.norm)[2] @ params.w_main
+    act1 = np.maximum((view.norm @ x) @ params.w1, 0.0)
+    return view.norm @ (act1 @ (params.w2 @ params.w_main))
 
 
 def predict(params: ModelParams, view, features) -> np.ndarray:
@@ -183,53 +188,50 @@ def training_rows(view, features, main_idx, main_y, left_idx, left_y,
                         val_pos=np.searchsorted(rows, val_idx))
 
 
-def _extract_rows(params: ModelParams, x1, a_rows):
-    """First layer on all nodes from x1 = Â·X, second aggregation and extractor
-    output on the rows of a_rows (Â itself, or Â[R] in training)."""
-    pre1 = x1 @ params.w1
-    act1 = np.maximum(pre1, 0.0)
-    x2 = a_rows @ act1
-    return pre1, x2, x2 @ params.w2
-
-
 def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: float,
                         weight_decay: float):
     """Training loss and parameter gradients.
 
     Loss = CE_main + lambda_dual * CE_pseudo + (wd/2) * (|w1|^2 + |w2|^2 + |w_main|^2).
     Weight decay deliberately skips the pseudo head so that lambda_dual = 0
-    leaves it untouched. Returns (loss, grads dict, main logits of the rows R).
+    leaves it untouched; without leftover rows the pseudo head is off and gets
+    a zero gradient. Returns (loss, grads dict, main logits of the rows R).
+
+    W2 is folded into the heads, V = W2·[W_main | W_pseudo], so the second
+    aggregation and its backward pass run 2c columns wide, not hidden wide:
+    Z = Â[R]·(act1·V) holds both heads' logits, S = Â[R]ᵀ·dZ, and the
+    gradients follow from S and T = act1ᵀ·S.
     """
-    pre1, x2, h = _extract_rows(params, rows.x1, rows.a_rows)
-    zm = h @ params.w_main
-    zp = h @ params.w_pseudo
-    if not (np.all(np.isfinite(zm)) and np.all(np.isfinite(zp))):
+    pre1 = rows.x1 @ params.w1
+    act1 = np.maximum(pre1, 0.0)
+    c = params.w_main.shape[1]
+    pseudo_on = len(rows.left_pos) > 0
+    heads = np.hstack([params.w_main, params.w_pseudo]) if pseudo_on else params.w_main
+    v = params.w2 @ heads
+    z = rows.a_rows @ (act1 @ v)
+    if not np.all(np.isfinite(z)):
         raise RuntimeError("training logits became non-finite")  # the parameters diverged
 
-    r, c = zm.shape
-    loss_main, d_rows = _cross_entropy_rows(zm[rows.main_pos], rows.main_y)
-    dzm = np.zeros((r, c))
-    dzm[rows.main_pos] = d_rows
-
-    loss = loss_main
-    d_wp = np.zeros_like(params.w_pseudo)
-    dh = dzm @ params.w_main.T
-    if len(rows.left_pos):
-        loss_pseudo, d_rows_p = _cross_entropy_rows(zp[rows.left_pos], rows.left_y)
+    zm = z[:, :c]
+    loss, d_rows = _cross_entropy_rows(zm[rows.main_pos], rows.main_y)
+    dz = np.zeros_like(z)
+    dz[rows.main_pos, :c] = d_rows
+    if pseudo_on:
+        loss_pseudo, d_rows_p = _cross_entropy_rows(z[rows.left_pos, c:], rows.left_y)
         loss += lambda_dual * loss_pseudo
-        dzp = np.zeros((r, c))
-        dzp[rows.left_pos] = lambda_dual * d_rows_p
-        d_wp = h.T @ dzp
-        dh = dh + dzp @ params.w_pseudo.T
+        dz[rows.left_pos, c:] = lambda_dual * d_rows_p
 
-    d_wm = h.T @ dzm + weight_decay * params.w_main
-    d_w2 = x2.T @ dh + weight_decay * params.w2
-    dact1 = rows.a_rows.T @ (dh @ params.w2.T)
+    s = rows.a_rows.T @ dz  # (n, c or 2c): gradient of act1·V
+    t = act1.T @ s          # gradient of V
+    d_heads = params.w2.T @ t
+    d_w2 = t @ heads.T + weight_decay * params.w2
+    dact1 = s @ v.T
     np.multiply(dact1, pre1 > 0, out=dact1)  # ReLU backward, in place
     d_w1 = rows.x1.T @ dact1 + weight_decay * params.w1
 
     loss += 0.5 * weight_decay * (np.sum(params.w1**2) + np.sum(params.w2**2) + np.sum(params.w_main**2))
-    grads = {"w1": d_w1, "w2": d_w2, "w_main": d_wm, "w_pseudo": d_wp}
+    grads = {"w1": d_w1, "w2": d_w2, "w_main": d_heads[:, :c] + weight_decay * params.w_main,
+             "w_pseudo": d_heads[:, c:] if pseudo_on else np.zeros_like(params.w_pseudo)}
     return loss, grads, zm
 
 

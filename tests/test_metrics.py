@@ -63,6 +63,22 @@ def test_cmd_scale_bounds(case):
         assert 0.0 <= cmd_weighted_with_grad(x, w, y, cfg)[0] <= bound
 
 
+@pytest.mark.parametrize("x, y", [([[1e-70], [0.0]], [[0.0]]), ([[1e-200]], [[0.0]]),
+                                  ([[0.0, 3e-90], [2e-90, 0.0]], [[1e-90, 1e-90]])])
+def test_cmd_finite_when_support_width_power_underflows(x, y):
+    # width**5 is 0 here; CMD of the samples divided by the width is the same value
+    x, y = np.array(x), np.array(y)
+    width = max(x.max(), y.max()) - min(x.min(), y.min())
+    bound = (2 * 5 - 1) * np.sqrt(x.shape[1])
+    w = np.linspace(1.0, 0.5, len(x))
+    with np.errstate(all="raise"):
+        value = cmd(x, y)
+        weighted, grad = cmd_weighted_with_grad(x, w, y)
+    assert 0.0 <= value <= bound and value == cmd(x / width, y / width)
+    assert 0.0 <= weighted <= bound and np.all(np.isfinite(grad))
+    assert weighted == cmd_weighted_with_grad(x / width, w, y / width)[0]
+
+
 def test_cmd_first_moment_fixture():
     # ||0 - 1|| / |1 - 0| with only the first moment
     cfg = CmdConfig(max_order=1, support_lo=0.0, support_hi=1.0)

@@ -223,21 +223,22 @@ def _reference_single_head(graph, view, nodes, y, cfg, hidden, seed):
     x = graph.features
     b1, b2, eps = 0.9, 0.999, 1e-8
     for epoch in range(cfg.epochs):
+        # the linear second layer folded into the head: logits Â·(act1·(W2·W_main))
         x1 = a_hat @ x
         pre1 = x1 @ w["w1"]
         act1 = np.maximum(pre1, 0.0)
-        x2 = a_hat @ act1
-        h = x2 @ w["w2"]
-        zm = h @ w["w_main"]
+        v_head = w["w2"] @ w["w_main"]
+        zm = a_hat @ (act1 @ v_head)
         rows = softmax_rows(zm[nodes])
         rows[np.arange(len(y)), y] -= 1.0
         dzm = np.zeros_like(zm)
         dzm[nodes] = rows / len(y)
         grads = {}
-        dh = dzm @ w["w_main"].T
-        grads["w_main"] = h.T @ dzm + cfg.weight_decay * w["w_main"]
-        grads["w2"] = x2.T @ dh + cfg.weight_decay * w["w2"]
-        dact1 = a_hat @ (dh @ w["w2"].T)
+        d_p = a_hat @ dzm  # Â is symmetric: the backward pass through Â·dZ
+        d_v = act1.T @ d_p
+        grads["w_main"] = w["w2"].T @ d_v + cfg.weight_decay * w["w_main"]
+        grads["w2"] = d_v @ w["w_main"].T + cfg.weight_decay * w["w2"]
+        dact1 = d_p @ v_head.T
         grads["w1"] = x1.T @ (dact1 * (pre1 > 0)) + cfg.weight_decay * w["w1"]
         t = epoch + 1
         for key, g in grads.items():

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hcgst import selection
-from hcgst.homophily import bin_distribution, target_distribution
+from hcgst.homophily import bin_distribution, bin_index, target_distribution
+from hcgst.metrics import cmd_weighted_with_grad, kl_divergence_with_grad
 from hcgst.selection import (SelectionProblem, candidate_set, optimize_selection,
                              project_capped_simplex, selection_bin_mass,
                              selection_loss_and_grad, top_k)
@@ -194,6 +195,42 @@ def test_optimizer_deterministic():
     a = optimize_selection(problem).q
     b = optimize_selection(problem).q
     assert np.array_equal(a, b)
+
+
+def _pgd_recomputing_every_term(problem):
+    """optimize_selection's iterates with nothing computed once per call: each
+    iteration calls the CMD and KL gradients on the raw problem. Returns the
+    lowest-loss iterate and whether any projection had to enforce the budget."""
+    m = len(problem.candidates)
+    q = best_q = np.full(m, min(problem.k / m, 1.0))
+    best_loss, budget_active = np.inf, False
+    for it in range(selection._ITERATIONS + 1):
+        cmd_val, cmd_grad = cmd_weighted_with_grad(problem.cand_repr, q, problem.global_repr)
+        idx = bin_index(problem.cand_homophily, problem.n_bins)
+        kl_val, kl_grad = kl_divergence_with_grad(
+            np.bincount(idx, weights=q, minlength=problem.n_bins), problem.target)
+        loss = cmd_val + problem.lambda_s * kl_val
+        grad = cmd_grad + problem.lambda_s * kl_grad[idx]
+        if loss < best_loss:
+            best_loss, best_q = loss, q
+        scale = np.max(np.abs(grad))
+        if it == selection._ITERATIONS or scale == 0.0:
+            break
+        v = q - selection._STEP_SIZE / np.sqrt(it + 1.0) * grad / scale
+        budget_active |= bool(np.clip(v, 0.0, 1.0).sum() > problem.k)
+        q = project_capped_simplex(v, problem.k)
+        if q.sum() == 0.0:
+            break
+    return best_q, budget_active
+
+
+@pytest.mark.parametrize("seed, m, k, active", [(1, 8, 3, True), (2, 12, 3, False),
+                                                (6, 5, 5, False)])
+def test_optimizer_fixed_terms_change_no_bit(seed, m, k, active):
+    problem = _random_problem(seed, m=m, k=k)
+    ref, budget_active = _pgd_recomputing_every_term(problem)
+    assert budget_active == active
+    assert np.array_equal(optimize_selection(problem).q, ref)
 
 
 def test_optimizer_trace_csv(tmp_path, monkeypatch):
