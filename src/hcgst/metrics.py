@@ -55,7 +55,8 @@ def _paired_samples(x, y, cfg: CmdConfig):
 
     CMD does not change when both sets and the support are divided by the
     width, so when the width's K-th power underflows (0/0 in the top moment
-    term), the sets are divided by the width and the width becomes 1.
+    term) or overflows a float, the sets are divided by the width and the
+    width becomes 1.
     """
     x = _as_samples(x, "X")
     y = _as_samples(y, "Y")
@@ -65,9 +66,17 @@ def _paired_samples(x, y, cfg: CmdConfig):
         scale = float(cfg.support_hi - cfg.support_lo)
     else:
         scale = float(max(x.max(), y.max()) - min(x.min(), y.min()))
-    if scale > 0.0 and scale**cfg.max_order == 0.0:
+    if scale > 0.0 and not _power_fits(scale, cfg.max_order):
         return x / scale, y / scale, 1.0
     return x, y, scale
+
+
+def _power_fits(scale: float, k: int) -> bool:
+    """Whether scale**k is a positive finite float."""
+    try:
+        return scale**k > 0.0
+    except OverflowError:
+        return False
 
 
 def _moments(x, max_order: int) -> list:

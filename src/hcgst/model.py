@@ -15,7 +15,7 @@ import contextlib
 import ctypes
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +144,12 @@ def predict(params: ModelParams, view, features) -> np.ndarray:
 def _cross_entropy_rows(logits_rows, y):
     if not np.all(np.isfinite(logits_rows)):
         raise ValueError("logits contain non-finite entries")
-    shifted = logits_rows - logits_rows.max(axis=1, keepdims=True)
+    # the row max column by column: exact in any order, and far faster than
+    # max(axis=1) over a few columns
+    top = logits_rows[:, 0].copy()
+    for j in range(1, logits_rows.shape[1]):
+        np.maximum(top, logits_rows[:, j], out=top)
+    shifted = logits_rows - top[:, None]
     e = np.exp(shifted)
     z = e.sum(axis=1)
     losses = np.log(z) - shifted[np.arange(len(y)), y]
@@ -155,21 +160,30 @@ def _cross_entropy_rows(logits_rows, y):
 
 @dataclass(frozen=True)
 class TrainingRows:
-    """Constants of one training run.
+    """Constants and work arrays of one training run.
 
     The loss and the validation accuracy read only the rows
     R = sorted(main ∪ leftover ∪ validation), so the second aggregation runs
-    on Â[R] alone; Â·X does not depend on the parameters and is computed once.
-    Positions index into R.
+    on Â[R] alone; Â·X and Â[R]ᵀ do not depend on the parameters and are
+    built once. Positions index into R.
     """
 
     x1: np.ndarray          # (n, d) Â·X
     a_rows: sp.csr_matrix   # (|R|, n) Â[R]
+    a_rows_t: sp.csc_matrix  # (n, |R|) Â[R]ᵀ
     main_pos: np.ndarray
     main_y: np.ndarray
     left_pos: np.ndarray
     left_y: np.ndarray
     val_pos: np.ndarray     # empty without a validation set
+    work: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """A float64 work array kept across epochs; its contents are not kept."""
+        buf = self.work.get(name)
+        if buf is None or buf.shape != shape:
+            buf = self.work[name] = np.empty(shape)
+        return buf
 
 
 def training_rows(view, features, main_idx, main_y, left_idx, left_y,
@@ -180,7 +194,9 @@ def training_rows(view, features, main_idx, main_y, left_idx, left_y,
     main_idx = np.asarray(main_idx, dtype=np.int64)
     left_idx = np.asarray(left_idx, dtype=np.int64)
     rows = np.unique(np.concatenate([main_idx, left_idx, val_idx]))
-    return TrainingRows(x1=view.norm @ x, a_rows=view.norm[rows],
+    x1 = view.norm @ x
+    a_rows = view.norm[rows]
+    return TrainingRows(x1=x1, a_rows=a_rows, a_rows_t=a_rows.T,
                         main_pos=np.searchsorted(rows, main_idx),
                         main_y=np.asarray(main_y, dtype=np.int64),
                         left_pos=np.searchsorted(rows, left_idx),
@@ -200,10 +216,12 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     W2 is folded into the heads, V = W2·[W_main | W_pseudo], so the second
     aggregation and its backward pass run 2c columns wide, not hidden wide:
     Z = Â[R]·(act1·V) holds both heads' logits, S = Â[R]ᵀ·dZ, and the
-    gradients follow from S and T = act1ᵀ·S.
+    gradients follow from S and T = act1ᵀ·S. act1, d act1 and dZ live in
+    ``rows``' work arrays.
     """
-    pre1 = rows.x1 @ params.w1
-    act1 = np.maximum(pre1, 0.0)
+    act1 = rows.buffer("act1", (rows.x1.shape[0], params.w1.shape[1]))
+    np.matmul(rows.x1, params.w1, out=act1)
+    np.maximum(act1, 0.0, out=act1)  # act1 > 0 exactly where the pre-activation is
     c = params.w_main.shape[1]
     pseudo_on = len(rows.left_pos) > 0
     heads = np.hstack([params.w_main, params.w_pseudo]) if pseudo_on else params.w_main
@@ -214,25 +232,36 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
 
     zm = z[:, :c]
     loss, d_rows = _cross_entropy_rows(zm[rows.main_pos], rows.main_y)
-    dz = np.zeros_like(z)
+    dz = rows.buffer("dz", z.shape)
+    dz.fill(0.0)
     dz[rows.main_pos, :c] = d_rows
     if pseudo_on:
         loss_pseudo, d_rows_p = _cross_entropy_rows(z[rows.left_pos, c:], rows.left_y)
         loss += lambda_dual * loss_pseudo
         dz[rows.left_pos, c:] = lambda_dual * d_rows_p
 
-    s = rows.a_rows.T @ dz  # (n, c or 2c): gradient of act1·V
-    t = act1.T @ s          # gradient of V
+    s = rows.a_rows_t @ dz  # (n, c or 2c): gradient of act1·V
+    t = (s.T @ act1).T      # gradient of V; the same bits as act1ᵀ·S, faster
     d_heads = params.w2.T @ t
     d_w2 = t @ heads.T + weight_decay * params.w2
-    dact1 = s @ v.T
-    np.multiply(dact1, pre1 > 0, out=dact1)  # ReLU backward, in place
+    dact1 = rows.buffer("dact1", act1.shape)
+    np.matmul(s, v.T, out=dact1)
+    np.multiply(dact1, act1 > 0, out=dact1)  # ReLU backward, in place
     d_w1 = rows.x1.T @ dact1 + weight_decay * params.w1
 
     loss += 0.5 * weight_decay * (np.sum(params.w1**2) + np.sum(params.w2**2) + np.sum(params.w_main**2))
     grads = {"w1": d_w1, "w2": d_w2, "w_main": d_heads[:, :c] + weight_decay * params.w_main,
              "w_pseudo": d_heads[:, c:] if pseudo_on else np.zeros_like(params.w_pseudo)}
     return loss, grads, zm
+
+
+def _flat_copy(params: ModelParams):
+    """A copy of ``params`` whose matrices are views into one flat vector, and that vector."""
+    mats = params.matrices().values()
+    flat = np.concatenate([m.ravel() for m in mats])
+    ends = np.cumsum([m.size for m in mats])
+    views = [part.reshape(m.shape) for part, m in zip(np.split(flat, ends[:-1]), mats)]
+    return ModelParams(*views), flat
 
 
 def _check_label_sets(name, nodes, labels, c):
@@ -276,9 +305,9 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     rows = training_rows(view, graph.features, np.concatenate([clean_idx, cons_idx]),
                          np.concatenate([clean_y, cons_y]), left_idx, left_y, val_idx)
 
-    cur = params.copy()
-    state_m = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
-    state_v = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
+    cur, flat = _flat_copy(params)
+    state_m = np.zeros_like(flat)  # Adam is elementwise: one step moves all four matrices
+    state_v = np.zeros_like(flat)
     best = None  # (acc, params copy)
 
     for epoch in range(cfg.epochs + 1):  # the last pass checks the final parameters, no step
@@ -292,13 +321,12 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
         if epoch == cfg.epochs:
             break
         t = epoch + 1
-        mats = cur.matrices()
-        for key, g in grads.items():
-            state_m[key] = _ADAM_B1 * state_m[key] + (1 - _ADAM_B1) * g
-            state_v[key] = _ADAM_B2 * state_v[key] + (1 - _ADAM_B2) * g * g
-            m_hat = state_m[key] / (1 - _ADAM_B1**t)
-            v_hat = state_v[key] / (1 - _ADAM_B2**t)
-            mats[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        g = np.concatenate([grads[key].ravel() for key in cur.matrices()])
+        state_m = _ADAM_B1 * state_m + (1 - _ADAM_B1) * g
+        state_v = _ADAM_B2 * state_v + (1 - _ADAM_B2) * g * g
+        m_hat = state_m / (1 - _ADAM_B1**t)
+        v_hat = state_v / (1 - _ADAM_B2**t)
+        flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return cur if best is None else best[1]
 
 

@@ -23,7 +23,6 @@ from .metrics import cmd_fixed_terms, cmd_weighted_with_grad, kl_divergence_with
 
 _ITERATIONS = 200
 _STEP_SIZE = 0.05
-_BISECTIONS = 50  # shrink the projection threshold's bracket [0, max v] by 2^-50
 
 logger = logging.getLogger(__name__)
 
@@ -109,22 +108,48 @@ def selection_loss_and_grad(problem: SelectionProblem, q, fixed=None):
 
 
 def project_capped_simplex(v, k: float) -> np.ndarray:
-    """Euclidean projection of v onto {q in [0,1]^m : sum(q) <= k}: the clipped v
-    if that meets the budget, else clip(v - tau, 0, 1) with tau > 0 where the
-    sum is k (Wang & Lu, arXiv:1503.01002). The bisection on tau returns the
-    upper end of its bracket, so the sum never exceeds k."""
+    """Euclidean projection of v onto {q in [0,1]^m : sum(q) <= k}, k >= 0: the
+    clipped v if that meets the budget, else clip(v - tau, 0, 1) with tau > 0
+    where the sum is k (Wang & Lu, arXiv:1503.01002).
+
+    f(t) = sum(clip(v - t, 0, 1)) is piecewise linear in t with kinks at v_i
+    and v_i - 1. From v sorted and its prefix sums, f is evaluated at every
+    kink at once, and tau is solved for on the segment where f crosses k.
+    Rounding can leave the clipped sum a few ulps above k; tau then moves up,
+    by steps that double, until it is not, so the sum never exceeds k.
+    """
+    if k < 0:
+        raise ValueError(f"budget k must be >= 0, got {k}")
     v = np.asarray(v, dtype=np.float64)
     q = np.clip(v, 0.0, 1.0)
     if q.sum() <= k:
         return q
-    lo, hi = 0.0, float(v.max())  # the clipped sum exceeds k at lo and is 0 at hi
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if np.clip(v - mid, 0.0, 1.0).sum() > k:
-            lo = mid
-        else:
-            hi = mid
-    return np.clip(v - hi, 0.0, 1.0)
+    s = np.sort(v)
+    prefix = np.concatenate([[0.0], np.cumsum(s)])
+
+    def f_parts(t):
+        """f(t) = (m - hi) + prefix[hi] - prefix[lo] - (hi - lo) t, and hi - lo: the
+        entries above t + 1 give 1 each, those in (t, t + 1) give v_i - t."""
+        lo, hi = np.searchsorted(s, t, side="right"), np.searchsorted(s, t + 1.0, side="left")
+        return (s.size - hi) + (prefix[hi] - prefix[lo]), hi - lo
+
+    kinks = np.sort(np.concatenate([s, s - 1.0]))
+    kinks = kinks[kinks > 0.0]  # not empty: some v_i exceeds 0, as f(0) > k
+    const, slope = f_parts(kinks)
+    j = min(int(np.searchsorted(slope * kinks - const, -k)), kinks.size - 1)  # first f <= k
+    t0, t1 = (kinks[j - 1] if j else 0.0), kinks[j]
+    const, slope = f_parts(0.5 * (t0 + t1))  # f is linear between the two kinks
+    tau = min(max((const - k) / slope, t0), t1) if slope else t1
+
+    q = np.clip(v - tau, 0.0, 1.0)
+    excess = q.sum() - k
+    step = max(np.spacing(tau), excess / max(slope, 1))
+    while excess > 0.0 and tau < s[-1]:
+        tau = min(tau + step, s[-1])
+        step *= 2.0
+        q = np.clip(v - tau, 0.0, 1.0)
+        excess = q.sum() - k
+    return q
 
 
 def optimize_selection(problem: SelectionProblem, trace_path=None) -> SelectionVector:

@@ -1,0 +1,39 @@
+import importlib.util
+import shutil
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("compare_runs", _ROOT / "tools" / "compare_runs.py")
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+
+def _checkout(root: Path, name: str) -> Path:
+    path = root / name
+    shutil.copytree(_ROOT / "src" / "hcgst", path / "src" / "hcgst",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return path
+
+
+def test_parse_seeds():
+    assert compare_runs.parse_seeds("0-4") == [0, 1, 2, 3, 4]
+    assert compare_runs.parse_seeds("3") == [3]
+    assert compare_runs.parse_seeds("0-1,5") == [0, 1, 5]
+
+
+def test_tree_against_its_copy_reads_identical(tmp_path, capsys):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    assert compare_runs.main([str(base), str(change), "--n", "200", "--seeds", "0",
+                              "--stages", "1", "--work", str(tmp_path / "same")]) == 0
+    out = capsys.readouterr().out
+    assert "seed 0: byte-identical" in out and "picks" not in out
+
+
+def test_changed_step_size_reads_different_picks(tmp_path, capsys):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    selection = change / "src" / "hcgst" / "selection.py"
+    selection.write_text(selection.read_text().replace("_STEP_SIZE = 0.05", "_STEP_SIZE = 0.5"))
+    assert compare_runs.main([str(base), str(change), "--n", "500", "--fixture", "--seeds", "0",
+                              "--stages", "1", "--work", str(tmp_path / "differ")]) == 1
+    out = capsys.readouterr().out
+    assert "seed 0: differs in run JSON" in out and "stage 1 picks:" in out

@@ -79,6 +79,17 @@ def test_cmd_finite_when_support_width_power_underflows(x, y):
     assert weighted == cmd_weighted_with_grad(x / width, w, y / width)[0]
 
 
+def test_cmd_finite_when_support_width_power_overflows():
+    # 1e70**5 overflows a float; CMD of the samples divided by the width is the same value
+    x, y, w = [[1e70], [0.0]], [[0.0]], [1.0, 1.0]
+    value = cmd(x, y)
+    weighted, grad = cmd_weighted_with_grad(x, w, y)
+    assert value == cmd([[1.0], [0.0]], [[0.0]]) == 0.8125
+    assert np.isfinite(weighted) and np.all(np.isfinite(grad))
+    ref_value, ref_grad = cmd_weighted_with_grad([[1.0], [0.0]], w, [[0.0]])
+    assert weighted == ref_value and np.array_equal(grad, ref_grad)
+
+
 def test_cmd_first_moment_fixture():
     # ||0 - 1|| / |1 - 0| with only the first moment
     cfg = CmdConfig(max_order=1, support_lo=0.0, support_hi=1.0)

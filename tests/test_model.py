@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hcgst.graph import build_graph, k_hop_adjacency, make_partition
-from hcgst.model import (TrainConfig, _cross_entropy_rows, _openblas_thread_calls,
-                         dual_loss_and_grads, forward, gradient_check, init_params,
-                         predict, softmax_rows, train_dual, training_rows)
+from hcgst.model import (TrainConfig, _cross_entropy_rows, _one_blas_thread,
+                         _openblas_thread_calls, dual_loss_and_grads, forward, gradient_check,
+                         init_params, predict, softmax_rows, train_dual, training_rows)
 from hcgst.orchestrator import RunConfig, run_self_training
 from hcgst.synth import SynthConfig, generate_graph
 
@@ -342,6 +342,97 @@ def test_row_restricted_loss_matches_full_graph_reference(problem, lam):
         assert np.max(np.abs(zm[pos] - ref_zm[idx]), initial=0.0) <= 1e-12 * np.max(np.abs(ref_zm))
 
 
+def _plain_cross_entropy_rows(logits_rows, y):
+    shifted = logits_rows - logits_rows.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    z = e.sum(axis=1)
+    losses = np.log(z) - shifted[np.arange(len(y)), y]
+    grad_rows = e / z[:, None]
+    grad_rows[np.arange(len(y)), y] -= 1.0
+    return float(losses.mean()), grad_rows / len(y)
+
+
+def _plain_dual_loss_and_grads(params, tr, lam, wd):
+    """dual_loss_and_grads with no work arrays or stored transposes, reading only
+    x1, a_rows and the positions of ``tr``: the bits the fast version must keep."""
+    pre1 = tr.x1 @ params.w1
+    act1 = np.maximum(pre1, 0.0)
+    c = params.w_main.shape[1]
+    pseudo_on = len(tr.left_pos) > 0
+    heads = np.hstack([params.w_main, params.w_pseudo]) if pseudo_on else params.w_main
+    v = params.w2 @ heads
+    z = tr.a_rows @ (act1 @ v)
+    zm = z[:, :c]
+    loss, d_rows = _plain_cross_entropy_rows(zm[tr.main_pos], tr.main_y)
+    dz = np.zeros_like(z)
+    dz[tr.main_pos, :c] = d_rows
+    if pseudo_on:
+        loss_pseudo, d_rows_p = _plain_cross_entropy_rows(z[tr.left_pos, c:], tr.left_y)
+        loss += lam * loss_pseudo
+        dz[tr.left_pos, c:] = lam * d_rows_p
+    s = tr.a_rows.T @ dz
+    t = act1.T @ s
+    d_heads = params.w2.T @ t
+    dact1 = (s @ v.T) * (pre1 > 0)
+    loss += 0.5 * wd * (np.sum(params.w1**2) + np.sum(params.w2**2) + np.sum(params.w_main**2))
+    grads = {"w1": tr.x1.T @ dact1 + wd * params.w1, "w2": t @ heads.T + wd * params.w2,
+             "w_main": d_heads[:, :c] + wd * params.w_main,
+             "w_pseudo": d_heads[:, c:] if pseudo_on else np.zeros_like(params.w_pseudo)}
+    return loss, grads, zm
+
+
+@settings(max_examples=80, deadline=None)
+@given(_training_problems(), st.sampled_from([0.0, 0.09, 1.0]))
+def test_loss_and_grads_bit_identical_to_plain_version(problem, lam):
+    g, params, y, main, left, val = problem
+    tr = training_rows(k_hop_adjacency(g, 1), g.features, main, y[main], left, y[left], val)
+    for _ in range(2):  # the second call reuses the work arrays of the first
+        with _one_blas_thread():  # as train_dual runs
+            loss, grads, zm = dual_loss_and_grads(params, tr, lam, 5e-4)
+            want_loss, want_grads, want_zm = _plain_dual_loss_and_grads(params, tr, lam, 5e-4)
+        assert loss == want_loss
+        assert np.array_equal(zm, want_zm)
+        for key, want in want_grads.items():
+            assert np.array_equal(grads[key], want), key
+
+
+def _plain_train_dual(params, rows, val_y, cfg, lam):
+    """train_dual's loop with one Adam update per matrix and the plain loss."""
+    cur = params.copy()
+    state_m = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
+    state_v = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
+    best = None
+    for epoch in range(cfg.epochs + 1):
+        _, grads, zm = _plain_dual_loss_and_grads(cur, rows, lam, cfg.weight_decay)
+        acc = float(np.mean(np.argmax(zm[rows.val_pos], axis=1) == val_y))
+        if best is None or acc >= best[0]:
+            best = (acc, cur.copy())
+        if epoch == cfg.epochs:
+            break
+        t = epoch + 1
+        mats = cur.matrices()
+        for key, g in grads.items():
+            state_m[key] = 0.9 * state_m[key] + (1 - 0.9) * g
+            state_v[key] = 0.999 * state_v[key] + (1 - 0.999) * g * g
+            m_hat = state_m[key] / (1 - 0.9**t)
+            v_hat = state_v[key] / (1 - 0.999**t)
+            mats[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return best[1]
+
+
+def test_train_dual_bit_identical_to_plain_loop():
+    g, (main, _, left), val = _large_training_problem()
+    view = k_hop_adjacency(g, 1)
+    cfg = TrainConfig(epochs=20, learning_rate=0.01)
+    init = init_params(g.d, 32, g.c, 0)
+    trained = train_dual(init, g, view, main, EMPTY, left, cfg, 0.09, validation=val)
+    rows = training_rows(view, g.features, *main, *left, val[0])
+    with _one_blas_thread():  # as train_dual runs
+        want = _plain_train_dual(init, rows, val[1], cfg, 0.09)
+    for key, mat in want.matrices().items():
+        assert np.array_equal(trained.matrices()[key], mat), key
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.09, 1.0])
 def test_gradient_check_tiny_instances(lam):
     g = _graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], n=5, d=3, seed=8,
@@ -388,7 +479,7 @@ def _two_exp_cross_entropy(logits_rows, y):
 
 @st.composite
 def _logit_rows(draw):
-    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))  # c >= 8: pairwise row sums
     finite = st.floats(-1e300, 1e300) | st.floats(-50, 50)
     elements = finite | st.sampled_from([np.nan, np.inf, -np.inf]) if draw(st.booleans()) else finite
     logits = draw(arrays(np.float64, (r, c), elements=elements))

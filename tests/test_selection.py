@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -304,6 +304,39 @@ def test_projection_matches_sorted_breakpoint_projection(v, k):
     assert np.all((q >= 0.0) & (q <= 1.0))
     assert q.sum() <= k * (1 + 1e-9)
     assert np.max(np.abs(q - _sorted_breakpoint_projection(v, k))) <= 1e-9
+
+
+@st.composite
+def _tied_vectors_and_tight_budgets(draw):
+    """v drawn from a few values (exact 0 and 1 among the choices), so most
+    entries tie, and a budget k just below sum(clip(v, 0, 1))."""
+    pool = draw(st.lists(st.sampled_from([0.0, 1.0, 0.5, -0.5, 1.5, 2.0]) |
+                         st.floats(-2.0, 3.0, allow_nan=False), min_size=1, max_size=4))
+    v = np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=200)))
+    total = np.clip(v, 0.0, 1.0).sum()
+    assume(total > 0.0)
+    if draw(st.booleans()):
+        k = total
+        for _ in range(draw(st.integers(1, 4))):  # a few ulps below
+            k = np.nextafter(k, 0.0)
+    else:
+        k = total * (1.0 - 10.0 ** -draw(st.integers(1, 16)))
+    return v, float(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_vectors_and_tight_budgets())
+def test_projection_budget_holds_without_slack(problem):
+    v, k = problem
+    q = project_capped_simplex(v, k)
+    assert np.all((q >= 0.0) & (q <= 1.0))
+    assert q.sum() <= k
+    assert np.max(np.abs(q - _sorted_breakpoint_projection(v, k))) <= 1e-9
+
+
+def test_projection_rejects_negative_budget():
+    with pytest.raises(ValueError, match="budget"):
+        project_capped_simplex(np.array([0.5, 0.2]), -1.0)
 
 
 @settings(max_examples=100, deadline=None)
