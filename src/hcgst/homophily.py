@@ -64,7 +64,7 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
     if label_override:
         c = soft.shape[1]
         nodes = np.fromiter(label_override.keys(), dtype=np.int64)
-        labs = np.fromiter((label_override[int(v)] for v in nodes), dtype=np.int64)
+        labs = np.fromiter(label_override.values(), dtype=np.int64)  # in the keys' order
         if np.any((labs < 0) | (labs >= c)):
             raise ValueError("override label outside [0, c)")
         soft[nodes] = 0.0

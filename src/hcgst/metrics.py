@@ -25,7 +25,7 @@ class CmdConfig:
     """Moment-order truncation and optional explicit support bounds.
 
     When ``support_lo``/``support_hi`` are None the bounds are taken per call
-    as the global min/max over both sample sets.
+    as the global min/max over both sample sets; set both or neither.
     """
 
     max_order: int = 5
@@ -35,7 +35,9 @@ class CmdConfig:
     def __post_init__(self):
         if self.max_order < 1:
             raise ValueError(f"max_order must be >= 1, got {self.max_order}")
-        if self.support_lo is not None and self.support_hi is not None and not (self.support_hi > self.support_lo):
+        if (self.support_lo is None) != (self.support_hi is None):
+            raise ValueError("set both support_lo and support_hi, or neither")
+        if self.support_lo is not None and not (self.support_hi > self.support_lo):
             raise ValueError("support_hi must exceed support_lo")
 
 
@@ -62,7 +64,7 @@ def _paired_samples(x, y, cfg: CmdConfig):
     y = _as_samples(y, "Y")
     if x.shape[1] != y.shape[1]:
         raise ValueError(f"dimension mismatch: X has {x.shape[1]} columns, Y has {y.shape[1]}")
-    if cfg.support_lo is not None and cfg.support_hi is not None:
+    if cfg.support_lo is not None:
         scale = float(cfg.support_hi - cfg.support_lo)
     else:
         scale = float(max(x.max(), y.max()) - min(x.min(), y.min()))
@@ -162,6 +164,8 @@ def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig(), fixed=No
             v = diff / (nrm * scale**k * total_w)
             grad += (uk - ck_x) @ v - k * (ux * ck_prev) @ v
         ck_prev = ck_x  # c_k becomes next round's c_{k-1}
+    if not np.all(np.isfinite(grad)):  # a weight total near the float minimum overflows 1/W
+        raise ValueError(f"weight total {float(total_w)!r} gives a non-finite CMD gradient")
     return float(value), grad
 
 

@@ -15,17 +15,17 @@ import contextlib
 import ctypes
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
 _ADAM_B1 = 0.9
 _ADAM_B2 = 0.999
 _ADAM_EPS = 1e-8
+_FD_STEP = 1e-5  # central-difference step of gradient_check
 
 
 @dataclass
@@ -110,14 +110,26 @@ def init_params(d: int, hidden: int, c: int, seed: int) -> ModelParams:
                        w_main=glorot(hidden, c), w_pseudo=glorot(hidden, c))
 
 
+def _shifted_exp(logits_rows):
+    """(z - row max, its exp, the exp's row sums) of a finite logit matrix z."""
+    if logits_rows.ndim != 2 or logits_rows.shape[1] == 0:
+        raise ValueError(f"logits must be a matrix with at least one column, got shape {logits_rows.shape}")
+    if not np.all(np.isfinite(logits_rows)):
+        raise ValueError("logits contain non-finite entries")
+    # the row max column by column: exact in any order, and far faster than
+    # max(axis=1) over a few columns
+    top = logits_rows[:, 0].copy()
+    for j in range(1, logits_rows.shape[1]):
+        np.maximum(top, logits_rows[:, j], out=top)
+    shifted = logits_rows - top[:, None]
+    e = np.exp(shifted)
+    return shifted, e, e.sum(axis=1)
+
+
 def softmax_rows(logits) -> np.ndarray:
     """Row-wise softmax with max-subtraction stabilization."""
-    z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("logits contain non-finite entries")
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    _, e, total = _shifted_exp(np.asarray(logits, dtype=np.float64))
+    return e / total[:, None]
 
 
 def forward(params: ModelParams, view, features) -> np.ndarray:
@@ -142,66 +154,41 @@ def predict(params: ModelParams, view, features) -> np.ndarray:
 
 
 def _cross_entropy_rows(logits_rows, y):
-    if not np.all(np.isfinite(logits_rows)):
-        raise ValueError("logits contain non-finite entries")
-    # the row max column by column: exact in any order, and far faster than
-    # max(axis=1) over a few columns
-    top = logits_rows[:, 0].copy()
-    for j in range(1, logits_rows.shape[1]):
-        np.maximum(top, logits_rows[:, j], out=top)
-    shifted = logits_rows - top[:, None]
-    e = np.exp(shifted)
-    z = e.sum(axis=1)
+    shifted, e, z = _shifted_exp(logits_rows)
     losses = np.log(z) - shifted[np.arange(len(y)), y]
     grad_rows = e / z[:, None]  # softmax_rows(logits_rows), bit for bit
     grad_rows[np.arange(len(y)), y] -= 1.0
     return float(losses.mean()), grad_rows / len(y)
 
 
-@dataclass(frozen=True)
 class TrainingRows:
-    """Constants and work arrays of one training run.
+    """Constants and work arrays of one training run on ``view``.
 
     The loss and the validation accuracy read only the rows
     R = sorted(main ∪ leftover ∪ validation), so the second aggregation runs
     on Â[R] alone; Â·X and Â[R]ᵀ do not depend on the parameters and are
-    built once. Positions index into R.
+    built once. Positions index into R; ``val_pos`` is empty without a
+    validation set.
     """
 
-    x1: np.ndarray          # (n, d) Â·X
-    a_rows: sp.csr_matrix   # (|R|, n) Â[R]
-    a_rows_t: sp.csc_matrix  # (n, |R|) Â[R]ᵀ
-    main_pos: np.ndarray
-    main_y: np.ndarray
-    left_pos: np.ndarray
-    left_y: np.ndarray
-    val_pos: np.ndarray     # empty without a validation set
-    work: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, view, features, main_idx, main_y, left_idx, left_y, val_idx=None):
+        sets = [np.asarray(idx, dtype=np.int64)  # main, leftover and validation nodes
+                for idx in (main_idx, left_idx, () if val_idx is None else val_idx)]
+        rows = np.unique(np.concatenate(sets))
+        self.x1 = view.norm @ np.asarray(features, dtype=np.float64)  # (n, d) Â·X
+        self.a_rows = view.norm[rows]    # (|R|, n) Â[R]
+        self.a_rows_t = self.a_rows.T    # (n, |R|) Â[R]ᵀ, a CSC matrix
+        self.main_pos, self.left_pos, self.val_pos = (np.searchsorted(rows, idx) for idx in sets)
+        self.main_y = np.asarray(main_y, dtype=np.int64)
+        self.left_y = np.asarray(left_y, dtype=np.int64)
+        self._work = {}
 
     def buffer(self, name: str, shape: tuple) -> np.ndarray:
         """A float64 work array kept across epochs; its contents are not kept."""
-        buf = self.work.get(name)
+        buf = self._work.get(name)
         if buf is None or buf.shape != shape:
-            buf = self.work[name] = np.empty(shape)
+            buf = self._work[name] = np.empty(shape)
         return buf
-
-
-def training_rows(view, features, main_idx, main_y, left_idx, left_y,
-                  val_idx=None) -> TrainingRows:
-    """Build the :class:`TrainingRows` of one training run on ``view``."""
-    x = np.asarray(features, dtype=np.float64)
-    val_idx = np.empty(0, dtype=np.int64) if val_idx is None else np.asarray(val_idx, dtype=np.int64)
-    main_idx = np.asarray(main_idx, dtype=np.int64)
-    left_idx = np.asarray(left_idx, dtype=np.int64)
-    rows = np.unique(np.concatenate([main_idx, left_idx, val_idx]))
-    x1 = view.norm @ x
-    a_rows = view.norm[rows]
-    return TrainingRows(x1=x1, a_rows=a_rows, a_rows_t=a_rows.T,
-                        main_pos=np.searchsorted(rows, main_idx),
-                        main_y=np.asarray(main_y, dtype=np.int64),
-                        left_pos=np.searchsorted(rows, left_idx),
-                        left_y=np.asarray(left_y, dtype=np.int64),
-                        val_pos=np.searchsorted(rows, val_idx))
 
 
 def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: float,
@@ -302,8 +289,8 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     val_idx = val_y = None
     if validation is not None:
         val_idx, val_y = _check_label_sets("validation set", *validation, c=c)
-    rows = training_rows(view, graph.features, np.concatenate([clean_idx, cons_idx]),
-                         np.concatenate([clean_y, cons_y]), left_idx, left_y, val_idx)
+    rows = TrainingRows(view, graph.features, np.concatenate([clean_idx, cons_idx]),
+                        np.concatenate([clean_y, cons_y]), left_idx, left_y, val_idx)
 
     cur, flat = _flat_copy(params)
     state_m = np.zeros_like(flat)  # Adam is elementwise: one step moves all four matrices
@@ -330,22 +317,20 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     return cur if best is None else best[1]
 
 
-def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dual: float,
-                   view=None, h: float = 1e-5) -> float:
+def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dual: float) -> float:
     """Max relative error between analytic gradients and central finite differences.
 
-    Runs on a tiny labelled instance; even nodes form the main set and odd
-    nodes the leftover pseudo set.
+    Runs on a tiny labelled instance and its 1-hop view; even nodes form the
+    main set and odd nodes the leftover pseudo set.
     """
     from .graph import k_hop_adjacency
 
     if tiny_graph.labels is None:
         raise ValueError("gradient check needs a labelled graph")
-    if view is None:
-        view = k_hop_adjacency(tiny_graph, 1)
     y = tiny_graph.labels
     nodes = np.arange(tiny_graph.n)
-    rows = training_rows(view, tiny_graph.features, nodes[0::2], y[0::2], nodes[1::2], y[1::2])
+    rows = TrainingRows(k_hop_adjacency(tiny_graph, 1), tiny_graph.features,
+                        nodes[0::2], y[0::2], nodes[1::2], y[1::2])
     _, grads, _ = dual_loss_and_grads(params, rows, lambda_dual, cfg.weight_decay)
 
     def loss_at(p):
@@ -356,11 +341,11 @@ def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dua
         fd = np.zeros_like(mat)
         for idx in np.ndindex(mat.shape):
             probe = params.copy()
-            probe.matrices()[key][idx] = mat[idx] + h
+            probe.matrices()[key][idx] = mat[idx] + _FD_STEP
             up = loss_at(probe)
-            probe.matrices()[key][idx] = mat[idx] - h
+            probe.matrices()[key][idx] = mat[idx] - _FD_STEP
             down = loss_at(probe)
-            fd[idx] = (up - down) / (2 * h)
+            fd[idx] = (up - down) / (2 * _FD_STEP)
         denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[key])), 1e-8)
         worst = max(worst, float(np.max(np.abs(fd - grads[key]) / denom)))
     return worst

@@ -196,8 +196,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         raise ValueError("the partition must not start with pseudo nodes: their labels are unknown")
 
     knobs = _variant_knobs(cfg)
-    part = NodePartition(labeled=partition.labeled.copy(), validation=partition.validation.copy(),
-                         unlabeled=partition.unlabeled.copy())
+    part = replace(partition)  # add_pseudo rebinds the arrays and never writes into them
     y_true = graph.labels
     x = graph.features
     n_bins = cfg.n_bins
@@ -205,7 +204,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
 
     view1 = k_hop_adjacency(graph, 1)
     view_k = None
-    test_set = part.unlabeled.copy()  # evaluation set is fixed before pseudo-labeling
+    test_set = part.unlabeled  # evaluation set is fixed before pseudo-labeling
     have_val = part.validation.size > 0
     val_pair = (part.validation, y_true[part.validation]) if have_val else None
 
@@ -232,7 +231,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     patience = 0
     pseudo_y = np.empty(0, dtype=np.int64)  # labels of part.pseudo, co-indexed
     stage_reports = []
-    est_h = np.zeros(graph.n)
 
     for s in range(1, knobs.stages + 1):
         soft = softmax_rows(logits)
@@ -330,21 +328,22 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         acc_st=_accuracy(best_preds, y_true, test_set),
     )
 
-    local = part.train_pool()
-    final_kl_true = kl_divergence(bin_distribution(true_profile[local], n_bins), global_true)
-    final_kl_est = (kl_divergence(bin_distribution(est_h[local], n_bins),
-                                  bin_distribution(est_h, n_bins))
-                    if knobs.stages > 0 else float("nan"))
+    if stage_reports:  # the loop stops right after a report, so the last one holds the final pool
+        last = stage_reports[-1]
+        final = dict(final_kl_true=last.kl_local_global_true, final_kl_est=last.kl_local_global_est,
+                     pseudo_mean_est_h=last.pseudo_mean_est_h, global_mean_est_h=last.global_mean_est_h,
+                     pseudo_mean_true_h=last.pseudo_mean_true_h)
+    else:  # no stage: the pool is the labeled set, and no homophily was estimated
+        nan = float("nan")
+        pool_kl = kl_divergence(bin_distribution(true_profile[part.labeled], n_bins), global_true)
+        final = dict(final_kl_true=float(pool_kl), final_kl_est=nan, pseudo_mean_est_h=nan,
+                     global_mean_est_h=nan, pseudo_mean_true_h=nan)
     return RunReport(
         variant=cfg.variant, seed=cfg.seed, config=asdict(cfg),
         stage_reports=stage_reports, best_stage=best_stage,
         val_acc=best_val, test_acc=bin_report.acc_st, bin_report=bin_report,
         final_pseudo_count=int(part.pseudo.size),
-        final_kl_true=float(final_kl_true), final_kl_est=float(final_kl_est),
-        pseudo_mean_est_h=float(np.mean(est_h[part.pseudo])) if part.pseudo.size else float("nan"),
-        global_mean_est_h=float(np.mean(est_h)) if knobs.stages > 0 else float("nan"),
-        pseudo_mean_true_h=float(np.mean(true_profile[part.pseudo])) if part.pseudo.size else float("nan"),
-        global_mean_true_h=float(np.mean(true_profile)),
+        **final, global_mean_true_h=float(np.mean(true_profile)),
         params=best_params,
     )
 

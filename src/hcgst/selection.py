@@ -54,6 +54,9 @@ class SelectionProblem:
             raise ValueError(f"target must have shape ({self.n_bins},), got {target.shape}")
         if np.any(target < 0):
             raise ValueError("target entries must be non-negative")
+        # what L_q needs whatever q is, computed once: the CMD's fixed terms and each candidate's bin
+        object.__setattr__(self, "cmd_fixed", cmd_fixed_terms(self.cand_repr, self.global_repr))
+        object.__setattr__(self, "bins", bin_index(hh, self.n_bins))
 
 
 @dataclass
@@ -83,27 +86,17 @@ def selection_bin_mass(q, cand_homophily, n_bins: int) -> np.ndarray:
     return np.bincount(idx, weights=q, minlength=n_bins)
 
 
-def _fixed_terms(problem: SelectionProblem):
-    """What L_q needs of the problem whatever q is: the CMD's fixed terms and each candidate's bin."""
-    return (cmd_fixed_terms(problem.cand_repr, problem.global_repr),
-            bin_index(problem.cand_homophily, problem.n_bins))
-
-
-def selection_loss_and_grad(problem: SelectionProblem, q, fixed=None):
-    """L_q, its gradient with respect to q, and the per-term breakdown.
-
-    ``fixed``, if given, is ``_fixed_terms(problem)``, computed once for many q.
-    """
+def selection_loss_and_grad(problem: SelectionProblem, q):
+    """L_q, its gradient with respect to q, and the per-term breakdown."""
     q = np.asarray(q, dtype=np.float64)
-    cmd_fixed, idx = _fixed_terms(problem) if fixed is None else fixed
     cmd_val, cmd_grad = cmd_weighted_with_grad(problem.cand_repr, q, problem.global_repr,
-                                               fixed=cmd_fixed)
+                                               fixed=problem.cmd_fixed)
 
-    mass = np.bincount(idx, weights=q, minlength=problem.n_bins)
+    mass = np.bincount(problem.bins, weights=q, minlength=problem.n_bins)
     kl_val, kl_mass_grad = kl_divergence_with_grad(mass, problem.target)
 
     loss = cmd_val + problem.lambda_s * kl_val
-    grad = cmd_grad + problem.lambda_s * kl_mass_grad[idx]
+    grad = cmd_grad + problem.lambda_s * kl_mass_grad[problem.bins]
     return loss, grad, {"cmd": cmd_val, "kl": kl_val}
 
 
@@ -168,9 +161,8 @@ def optimize_selection(problem: SelectionProblem, trace_path=None) -> SelectionV
     q, best_q, best_loss = q0, q0, np.inf
     rows = []  # [iteration, loss, cmd, kl, |q|_1] per evaluated iterate
     reason = "cap"
-    fixed = _fixed_terms(problem)
     for it in range(_ITERATIONS + 1):
-        loss, grad, terms = selection_loss_and_grad(problem, q, fixed)
+        loss, grad, terms = selection_loss_and_grad(problem, q)
         if not np.isfinite(loss):
             diverged = [name for name, val in terms.items() if not np.isfinite(val)]
             raise RuntimeError(f"selection loss non-finite at iteration {it}; diverged terms: {diverged}")

@@ -29,6 +29,16 @@ def test_tree_against_its_copy_reads_identical(tmp_path, capsys):
     assert "seed 0: byte-identical" in out and "picks" not in out
 
 
+def test_two_variants_compare_each_run_report(tmp_path, capsys):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    assert compare_runs.main([str(base), str(change), "--n", "200", "--seeds", "0", "--stages", "1",
+                              "--variant", "hcgst,backbone_only", "--work", str(tmp_path / "two")]) == 0
+    out = capsys.readouterr().out
+    assert "seed 0: byte-identical" in out and "picks" not in out
+    assert "  hcgst test_acc" in out and "  backbone_only test_acc" in out
+    assert (tmp_path / "two" / "change-0" / "run_backbone_only_0.json").is_file()
+
+
 def test_changed_step_size_reads_different_picks(tmp_path, capsys):
     base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
     selection = change / "src" / "hcgst" / "selection.py"

@@ -59,8 +59,13 @@ def test_cmd_scale_bounds(case):
     cfg = CmdConfig(max_order=max_order)
     bound = (2 * max_order - 1) * np.sqrt(x.shape[1]) * (1 + 1e-9)
     assert 0.0 <= cmd(x, y, cfg) <= bound
-    with np.errstate(divide="ignore", over="ignore"):  # a tiny weight total overflows the gradient
-        assert 0.0 <= cmd_weighted_with_grad(x, w, y, cfg)[0] <= bound
+    with np.errstate(all="ignore"):  # a tiny weight total overflows the gradient
+        try:
+            weighted = cmd_weighted_with_grad(x, w, y, cfg)[0]
+        except ValueError as err:  # raised for a non-finite gradient, so only near the float minimum
+            assert "weight total" in str(err) and w.sum() < 1e-300
+            return
+    assert 0.0 <= weighted <= bound
 
 
 @pytest.mark.parametrize("x, y", [([[1e-70], [0.0]], [[0.0]]), ([[1e-200]], [[0.0]]),
@@ -150,6 +155,26 @@ def test_cmd_weighted_mean_fixture():
 def test_cmd_weighted_rejects_zero_total():
     with pytest.raises(ValueError, match="positive total"):
         cmd_weighted_with_grad(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("w", [[5e-324, 0.0], [1e-310, 1e-310]])
+def test_cmd_weighted_rejects_weight_total_too_small_for_a_finite_gradient(w):
+    # 1 / W overflows; the value would be finite, the gradient NaN
+    total = repr(float(np.sum(w)))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"weight total {total} "):
+        cmd_weighted_with_grad([[0.0], [1.0]], w, [[0.5], [0.2]])
+
+
+def test_cmd_weighted_gradient_finite_at_a_tiny_normal_weight_total():
+    value, grad = cmd_weighted_with_grad([[0.0], [1.0]], [1e-300, 0.0], [[0.5], [0.2]])
+    assert value == cmd([[0.0]], [[0.5], [0.2]], CmdConfig(support_lo=0.0, support_hi=1.0))
+    assert grad[0] == 0.0 and np.isfinite(grad[1]) and grad[1] < -1e300
+
+
+@pytest.mark.parametrize("bound", [{"support_lo": -100.0}, {"support_hi": 100.0}])
+def test_cmd_config_rejects_a_single_support_bound(bound):
+    with pytest.raises(ValueError, match="both support_lo and support_hi"):
+        CmdConfig(**bound)
 
 
 def test_cmd_weighted_rejects_out_of_box_weights():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hcgst.graph import build_graph, k_hop_adjacency, make_partition
-from hcgst.model import (TrainConfig, _cross_entropy_rows, _one_blas_thread,
+from hcgst.model import (TrainConfig, TrainingRows, _cross_entropy_rows, _one_blas_thread,
                          _openblas_thread_calls, dual_loss_and_grads, forward, gradient_check,
-                         init_params, predict, softmax_rows, train_dual, training_rows)
+                         init_params, predict, softmax_rows, train_dual)
 from hcgst.orchestrator import RunConfig, run_self_training
 from hcgst.synth import SynthConfig, generate_graph
 
@@ -64,6 +64,12 @@ def test_softmax_examples():
 def test_softmax_rows_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
         softmax_rows(np.array([[np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 0)])
+def test_softmax_rows_rejects_logits_without_columns(shape):
+    with pytest.raises(ValueError, match="at least one column"):
+        softmax_rows(np.zeros(shape))
 
 
 def test_soft_rows_sum_to_one():
@@ -152,10 +158,10 @@ def test_lambda_zero_matches_single_head_gradients():
     params = init_params(3, 5, 4, seed=4)
     main_idx = np.arange(0, 20, 2)
     pseudo_idx = np.arange(1, 20, 2)
-    _, dual, _ = dual_loss_and_grads(params, training_rows(view, g.features, main_idx, g.labels[main_idx],
-                                                           pseudo_idx, g.labels[pseudo_idx]), 0.0, 5e-4)
-    _, single, _ = dual_loss_and_grads(params, training_rows(view, g.features, main_idx, g.labels[main_idx],
-                                                             EMPTY[0], EMPTY[1]), 0.0, 5e-4)
+    _, dual, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, main_idx, g.labels[main_idx],
+                                                          pseudo_idx, g.labels[pseudo_idx]), 0.0, 5e-4)
+    _, single, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, main_idx, g.labels[main_idx],
+                                                            EMPTY[0], EMPTY[1]), 0.0, 5e-4)
     for key in ("w1", "w2", "w_main"):
         assert np.allclose(dual[key], single[key], atol=1e-15)
     assert np.all(dual["w_pseudo"] == 0.0)
@@ -166,7 +172,7 @@ def test_empty_leftover_reduces_to_main_term():
     view = k_hop_adjacency(g, 1)
     params = init_params(3, 5, 4, seed=4)
     idx = np.arange(10)
-    tr = training_rows(view, g.features, idx, g.labels[idx], EMPTY[0], EMPTY[1])
+    tr = TrainingRows(view, g.features, idx, g.labels[idx], EMPTY[0], EMPTY[1])
     loss, _, zm = dual_loss_and_grads(params, tr, 0.09, 0.0)
     rows = zm[tr.main_pos] - zm[tr.main_pos].max(axis=1, keepdims=True)
     ce = np.mean(np.log(np.exp(rows).sum(axis=1)) - rows[np.arange(10), g.labels[idx]])
@@ -183,8 +189,8 @@ def test_training_loss_decreases_on_two_blob_graph():
         if epochs:
             cfg = TrainConfig(epochs=epochs, learning_rate=0.01, weight_decay=0.0)
             trained = train_dual(trained, g, view, (idx, g.labels), EMPTY, EMPTY, cfg, 0.09)
-        val, _, _ = dual_loss_and_grads(trained, training_rows(view, g.features, idx, g.labels,
-                                                               EMPTY[0], EMPTY[1]), 0.0, 0.0)
+        val, _, _ = dual_loss_and_grads(trained, TrainingRows(view, g.features, idx, g.labels,
+                                                              EMPTY[0], EMPTY[1]), 0.0, 0.0)
         return val
 
     losses = [loss_after(e) for e in range(11)]
@@ -331,7 +337,7 @@ def _training_problems(draw):
 def test_row_restricted_loss_matches_full_graph_reference(problem, lam):
     g, params, y, main, left, val = problem
     view = k_hop_adjacency(g, 1)
-    tr = training_rows(view, g.features, main, y[main], left, y[left], val)
+    tr = TrainingRows(view, g.features, main, y[main], left, y[left], val)
     loss, grads, zm = dual_loss_and_grads(params, tr, lam, 5e-4)
     ref_loss, ref_grads, ref_zm = _reference_dual_loss_and_grads(
         params, view, g.features, main, y[main], left, y[left], lam, 5e-4)
@@ -385,7 +391,7 @@ def _plain_dual_loss_and_grads(params, tr, lam, wd):
 @given(_training_problems(), st.sampled_from([0.0, 0.09, 1.0]))
 def test_loss_and_grads_bit_identical_to_plain_version(problem, lam):
     g, params, y, main, left, val = problem
-    tr = training_rows(k_hop_adjacency(g, 1), g.features, main, y[main], left, y[left], val)
+    tr = TrainingRows(k_hop_adjacency(g, 1), g.features, main, y[main], left, y[left], val)
     for _ in range(2):  # the second call reuses the work arrays of the first
         with _one_blas_thread():  # as train_dual runs
             loss, grads, zm = dual_loss_and_grads(params, tr, lam, 5e-4)
@@ -426,7 +432,7 @@ def test_train_dual_bit_identical_to_plain_loop():
     cfg = TrainConfig(epochs=20, learning_rate=0.01)
     init = init_params(g.d, 32, g.c, 0)
     trained = train_dual(init, g, view, main, EMPTY, left, cfg, 0.09, validation=val)
-    rows = training_rows(view, g.features, *main, *left, val[0])
+    rows = TrainingRows(view, g.features, *main, *left, val[0])
     with _one_blas_thread():  # as train_dual runs
         want = _plain_train_dual(init, rows, val[1], cfg, 0.09)
     for key, mat in want.matrices().items():
@@ -460,8 +466,8 @@ def test_gradient_finite_at_zero_params():
     params = init_params(3, 4, 2, seed=0)
     for mat in params.matrices().values():
         mat[:] = 0.0
-    tr = training_rows(k_hop_adjacency(g, 1), g.features, np.array([0, 2]), np.array([0, 0]),
-                       np.array([1]), np.array([1]))
+    tr = TrainingRows(k_hop_adjacency(g, 1), g.features, np.array([0, 2]), np.array([0, 0]),
+                      np.array([1]), np.array([1]))
     _, grads, _ = dual_loss_and_grads(params, tr, 0.09, 5e-4)
     for g_mat in grads.values():
         assert np.all(np.isfinite(g_mat))
@@ -500,6 +506,30 @@ def test_fused_cross_entropy_equals_two_exp_version(problem):
     loss, grad = _cross_entropy_rows(logits, y)
     assert loss == want[0]
     assert np.array_equal(grad, want[1])
+
+
+def _max_axis_softmax(logits):
+    # softmax_rows as it was before it shared the cross entropy's column-loop row max
+    z = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("logits contain non-finite entries")
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_logit_rows())
+def test_softmax_rows_equals_max_axis_version(problem):
+    logits, _ = problem
+    with np.errstate(all="ignore"):
+        try:
+            want = _max_axis_softmax(logits)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                softmax_rows(logits)
+            return
+        assert np.array_equal(softmax_rows(logits), want)
 
 
 @pytest.fixture

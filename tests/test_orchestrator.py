@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from hcgst.graph import k_hop_adjacency, make_partition
+from hcgst.graph import k_hop_adjacency, make_partition, true_homophily_profile
 from hcgst.homophily import bin_distribution, estimate_homophily_profile, target_distribution
 from hcgst.metrics import kl_divergence
 from hcgst.model import TrainConfig, forward, init_params, softmax_rows, train_dual
-from hcgst.orchestrator import (RunConfig, bias_metrics, per_bin_accuracy,
+from hcgst.orchestrator import (VARIANTS, RunConfig, bias_metrics, per_bin_accuracy,
                                 run_self_training)
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
 
@@ -133,6 +133,27 @@ def test_backbone_only_reports_zero_deltas(small_graph):
     assert (br.tpv, br.npv, br.ppv) == (0.0, 0.0, 0.0)
     assert br.acc_st == br.acc_backbone
     assert rep.best_stage == 0
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_summary_is_the_last_stage_report(small_graph, variant):
+    part = _partition(small_graph)
+    rep = run_self_training(small_graph, part, _cfg(variant=variant))
+    summary = [rep.final_kl_true, rep.final_kl_est, rep.pseudo_mean_est_h, rep.global_mean_est_h,
+               rep.pseudo_mean_true_h]
+    true_h = true_homophily_profile(small_graph)
+    picks = np.array([v for s in rep.stage_reports for v in s.selected], dtype=np.int64)
+    pool_kl = kl_divergence(bin_distribution(true_h[np.concatenate([part.labeled, picks])], 10),
+                            bin_distribution(true_h, 10))
+    assert rep.final_kl_true == pool_kl
+    if variant == "backbone_only":
+        np.testing.assert_equal(summary, [pool_kl] + [np.nan] * 4)
+        return
+    last = rep.stage_reports[-1]
+    np.testing.assert_equal(summary, [last.kl_local_global_true, last.kl_local_global_est,
+                                      last.pseudo_mean_est_h, last.global_mean_est_h,
+                                      last.pseudo_mean_true_h])
+    np.testing.assert_equal(rep.pseudo_mean_true_h, np.mean(true_h[picks]) if picks.size else np.nan)
 
 
 def test_no_candidates_degenerates_to_backbone(small_graph):

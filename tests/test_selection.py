@@ -36,6 +36,13 @@ def test_problem_rejects_negative_target_entry():
         replace(_random_problem(0), target=np.array([1.0, 0.0, -1.0, 2.0, 0.0]))
 
 
+@pytest.mark.parametrize("change, message", [({"cand_repr": np.full((8, 3), np.nan)}, "non-finite"),
+                                             ({"global_repr": np.zeros((32, 2))}, "dimension mismatch")])
+def test_problem_rejects_invalid_cmd_inputs_when_constructed(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(_random_problem(0), **change)
+
+
 def test_single_bin_end_to_end():
     rng = np.random.default_rng(11)
     hh = rng.random(30)

@@ -2,15 +2,17 @@
 """Run ``hcgst run`` in two checkouts on the same graphs and compare their outputs.
 
     python3 tools/compare_runs.py BASE CHANGE --n 5000 --seeds 0-4 [--stages 2] [--fixture]
+                                  [--variant hcgst,backbone_only]
 
 For each seed s, the base checkout writes a graph with graph seed 7 + s: by
 ``hcgst generate --n N``, or with ``--fixture`` by the settings of the
 acceptance-test fixture (``--n 500 --fixture`` is that fixture). Each checkout
-then runs ``hcgst run --variant hcgst --bias-mode heterophily_biased
---stages S --seed s`` on it with its own sources, recording the picks of
-every ``top_k`` call. Per seed it prints whether the outputs are
-byte-identical (the run JSON without ``generated_at``, ``stages.csv``,
-``bins.csv`` and ``aggregate.csv``), ``test_acc``, ``final_kl_true`` and
+then runs ``hcgst run --variant LIST --bias-mode heterophily_biased
+--stages S --seed s`` on it with its own sources (``--variant``, default
+``hcgst``), recording each variant's picks of every ``top_k`` call. Per seed
+it prints whether the outputs are byte-identical (each variant's run JSON
+without ``generated_at``, ``stages.csv``, ``bins.csv`` and
+``aggregate.csv``), per variant ``test_acc``, ``final_kl_true`` and
 ``best_stage`` of both sides, and per stage the picks only one side made.
 Exits 0 when every seed is byte-identical, 1 otherwise.
 """
@@ -29,7 +31,7 @@ SIDES = ("base", "change")
 
 # Run in a fresh interpreter with one checkout's sources first on the path:
 #   python -c CHILD SRC graph N SEED FIXTURE OUT   writes a graph directory
-#   python -c CHILD SRC run PICKS ARGS...          runs `hcgst run ARGS`, top_k's picks to PICKS
+#   python -c CHILD SRC run PICKS ARGS...          runs `hcgst run ARGS`, top_k's picks per variant to PICKS
 CHILD = r"""
 import json, sys
 src, mode, *rest = sys.argv[1:]
@@ -45,13 +47,18 @@ if mode == "graph":
     graph.save_graph_dir(synth.generate_graph(cfg), out)
     sys.exit(0)
 picks_path, *argv = rest
-picks, top_k = [], orchestrator.top_k
+picks, top_k, run = {}, orchestrator.top_k, cli.run_self_training
+
+def recording_run(graph, partition, cfg):
+    picks[cfg.variant] = []
+    return run(graph, partition, cfg)
 
 def recording_top_k(*args, **kwargs):
     chosen = top_k(*args, **kwargs)
-    picks.append(chosen.tolist())
+    picks[next(reversed(picks))].append(chosen.tolist())
     return chosen
 
+cli.run_self_training = recording_run
 orchestrator.top_k = recording_top_k
 code = cli.main(["run", *argv])
 if code == 0:
@@ -77,16 +84,19 @@ def _child(checkout: Path, *args) -> None:
         raise RuntimeError(f"{checkout}: {args[0]} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
 
 
-def run_side(checkout: Path, graph: Path, seed: int, stages: int, out: Path) -> dict:
-    """One ``hcgst run``; its comparable output texts, run report and picks per stage."""
+def run_side(checkout: Path, graph: Path, seed: int, stages: int, variants: list, out: Path) -> dict:
+    """One ``hcgst run`` of ``variants``; its comparable output texts, and per
+    variant its run report and picks per stage."""
     picks = out.with_name(out.name + "-picks.json")
-    _child(checkout, "run", picks, "--graph", graph, "--out", out, "--variant", "hcgst",
-            "--bias-mode", "heterophily_biased", "--stages", stages, "--seed", seed)
-    report = json.loads((out / f"run_hcgst_{seed}.json").read_text())
-    report.pop("generated_at")
-    texts = {"run JSON": json.dumps(report, indent=2, sort_keys=True)}
+    _child(checkout, "run", picks, "--graph", graph, "--out", out, "--variant", ",".join(variants),
+           "--bias-mode", "heterophily_biased", "--stages", stages, "--seed", seed)
+    reports, texts = {}, {}
+    for variant in variants:
+        report = reports[variant] = json.loads((out / f"run_{variant}_{seed}.json").read_text())
+        report.pop("generated_at")
+        texts[f"run JSON {variant}"] = json.dumps(report, indent=2, sort_keys=True)
     texts.update({name: (out / name).read_text() for name in OUTPUTS})
-    return {"texts": texts, "report": report, "picks": json.loads(picks.read_text())}
+    return {"texts": texts, "reports": reports, "picks": json.loads(picks.read_text())}
 
 
 def pick_lines(base_picks, change_picks) -> list:
@@ -99,9 +109,9 @@ def pick_lines(base_picks, change_picks) -> list:
             continue
         only_b, only_c = sorted(set(b) - set(c)), sorted(set(c) - set(b))
         if not only_b and not only_c:
-            lines.append(f"  stage {stage + 1} picks: same set of {len(b)}, different order")
+            lines.append(f"stage {stage + 1} picks: same set of {len(b)}, different order")
         else:
-            lines.append(f"  stage {stage + 1} picks: {len(only_b)} only in base {only_b}, "
+            lines.append(f"stage {stage + 1} picks: {len(only_b)} only in base {only_b}, "
                          f"{len(only_c)} only in change {only_c}")
     return lines
 
@@ -115,6 +125,8 @@ def main(argv=None) -> int:
     parser.add_argument("--stages", type=int, default=2, help="self-training stages (default 2)")
     parser.add_argument("--fixture", action="store_true",
                         help="the acceptance-test fixture's graph settings")
+    parser.add_argument("--variant", default="hcgst",
+                        help="comma list of variants to run and compare (default hcgst)")
     parser.add_argument("--work", type=Path, help="directory for graphs and outputs (default: temporary)")
     args = parser.parse_args(argv)
     for checkout in (args.base, args.change):
@@ -124,21 +136,23 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         identical_all = True
+        variants = [v.strip() for v in args.variant.split(",")]
         for seed in parse_seeds(args.seeds):
             graph = work / f"graph-{seed}"
             _child(args.base, "graph", args.n, 7 + seed, int(args.fixture), graph)
-            sides = {side: run_side(checkout, graph, seed, args.stages, work / f"{side}-{seed}")
+            sides = {side: run_side(checkout, graph, seed, args.stages, variants, work / f"{side}-{seed}")
                      for side, checkout in zip(SIDES, (args.base, args.change))}
             differ = [name for name in sides["base"]["texts"]
                       if sides["base"]["texts"][name] != sides["change"]["texts"][name]]
             identical_all &= not differ
             print(f"seed {seed}: " + ("byte-identical" if not differ
                                       else "differs in " + ", ".join(differ)), flush=True)
-            for key in ("test_acc", "final_kl_true", "best_stage"):
-                b, c = (sides[side]["report"][key] for side in SIDES)
-                print(f"  {key:13s} base {b:.6g}  change {c:.6g}")
-            for line in pick_lines(sides["base"]["picks"], sides["change"]["picks"]):
-                print(line)
+            for variant in variants:
+                for key in ("test_acc", "final_kl_true", "best_stage"):
+                    b, c = (sides[side]["reports"][variant][key] for side in SIDES)
+                    print(f"  {variant} {key:13s} base {b:.6g}  change {c:.6g}")
+                for line in pick_lines(*(sides[side]["picks"][variant] for side in SIDES)):
+                    print(f"  {variant} {line}")
     return 0 if identical_all else 1
 
 
