@@ -90,8 +90,9 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
 class AdjacencyView:
     """Neighbor structure at a fixed hop count.
 
-    ``adj`` is the raw 0/1 structure (no self-connections, sorted indices),
-    used for homophily computations. ``norm`` is the
+    ``adj`` is the raw 0/1 structure (no self-connections, sorted indices)
+    that ``binary_matrix()`` returns; homophily is computed from
+    ``Graph.adj``, not from a view. ``norm`` is the
     symmetric-degree-normalized matrix with self-loops added, used for
     message passing.
     """
@@ -165,40 +166,24 @@ def graph_homophily(graph: Graph) -> float:
 
 @dataclass
 class NodePartition:
-    """Disjoint labeled / validation / unlabeled / pseudo node sets.
+    """Disjoint labeled / validation / unlabeled node sets.
 
-    Pseudo nodes move out of the unlabeled pool as stages select them; the
-    pseudo set only grows, in selection order.
+    A run never changes the partition: it keeps its own pool of labeled and
+    pseudo-labeled nodes, and the unlabeled set stays its test set.
     """
 
     labeled: np.ndarray
     validation: np.ndarray
     unlabeled: np.ndarray
-    pseudo: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     def __post_init__(self):
         self.labeled = np.asarray(self.labeled, dtype=np.int64)
         self.validation = np.asarray(self.validation, dtype=np.int64)
         self.unlabeled = np.asarray(self.unlabeled, dtype=np.int64)
-        self.pseudo = np.asarray(self.pseudo, dtype=np.int64)
         # a node may repeat within one set, never across two
-        members = np.concatenate([np.unique(s) for s in (self.labeled, self.validation,
-                                                          self.unlabeled, self.pseudo)])
+        members = np.concatenate([np.unique(s) for s in (self.labeled, self.validation, self.unlabeled)])
         if np.unique(members).size != members.size:
-            raise ValueError("labeled/validation/unlabeled/pseudo sets must be pairwise disjoint")
-
-    def add_pseudo(self, nodes) -> None:
-        nodes = np.asarray(nodes, dtype=np.int64)
-        if np.unique(nodes).size != nodes.size:
-            raise ValueError("pseudo nodes must be distinct")
-        if not np.isin(nodes, self.unlabeled).all():
-            raise ValueError("pseudo nodes must come from the unlabeled pool")
-        self.unlabeled = np.setdiff1d(self.unlabeled, nodes)
-        self.pseudo = np.concatenate([self.pseudo, nodes])
-
-    def train_pool(self) -> np.ndarray:
-        """Labeled plus pseudo nodes, in selection order."""
-        return np.concatenate([self.labeled, self.pseudo])
+            raise ValueError("labeled/validation/unlabeled sets must be pairwise disjoint")
 
 
 def make_partition(n: int, labeled, validation) -> NodePartition:

@@ -65,6 +65,9 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
         c = soft.shape[1]
         nodes = np.fromiter(label_override.keys(), dtype=np.int64)
         labs = np.fromiter(label_override.values(), dtype=np.int64)  # in the keys' order
+        bad = nodes[(nodes < 0) | (nodes >= graph.n)]
+        if bad.size:
+            raise ValueError(f"override node {int(bad[0])} outside [0, {graph.n})")
         if np.any((labs < 0) | (labs >= c)):
             raise ValueError("override label outside [0, c)")
         soft[nodes] = 0.0

@@ -138,33 +138,35 @@ def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig(), fixed=No
     if scale == 0.0:
         return 0.0, np.zeros_like(w_raw)
 
-    mx = p @ x
-    ux = x - mx
+    # a weight total near the float minimum overflows 1/W; the finiteness check below reports it
+    with np.errstate(all="ignore"):
+        mx = p @ x
+        ux = x - mx
 
-    value = 0.0
-    grad = np.zeros_like(w_raw)
+        value = 0.0
+        grad = np.zeros_like(w_raw)
 
-    # first-moment term; d mean / d w_j = u_j / W
-    diff = mx - y_moments[0]
-    nrm = np.linalg.norm(diff)
-    value += nrm / scale
-    if nrm > _NORM_FLOOR:
-        grad += (ux @ (diff / nrm)) / (scale * total_w)
-
-    # central moments; d c_k / d w_j = (u_j^k - c_k - k * c_{k-1} * u_j) / W
-    ck_prev = np.zeros(x.shape[1])
-    uk = ux
-    for k in range(2, cfg.max_order + 1):
-        uk = uk * ux
-        ck_x = p @ uk
-        diff = ck_x - y_moments[k - 1]
+        # first-moment term; d mean / d w_j = u_j / W
+        diff = mx - y_moments[0]
         nrm = np.linalg.norm(diff)
-        value += nrm / scale**k
+        value += nrm / scale
         if nrm > _NORM_FLOOR:
-            v = diff / (nrm * scale**k * total_w)
-            grad += (uk - ck_x) @ v - k * (ux * ck_prev) @ v
-        ck_prev = ck_x  # c_k becomes next round's c_{k-1}
-    if not np.all(np.isfinite(grad)):  # a weight total near the float minimum overflows 1/W
+            grad += (ux @ (diff / nrm)) / (scale * total_w)
+
+        # central moments; d c_k / d w_j = (u_j^k - c_k - k * c_{k-1} * u_j) / W
+        ck_prev = np.zeros(x.shape[1])
+        uk = ux
+        for k in range(2, cfg.max_order + 1):
+            uk = uk * ux
+            ck_x = p @ uk
+            diff = ck_x - y_moments[k - 1]
+            nrm = np.linalg.norm(diff)
+            value += nrm / scale**k
+            if nrm > _NORM_FLOOR:
+                v = diff / (nrm * scale**k * total_w)
+                grad += (uk - ck_x) @ v - k * (ux * ck_prev) @ v
+            ck_prev = ck_x  # c_k becomes next round's c_{k-1}
+    if not np.all(np.isfinite(grad)):
         raise ValueError(f"weight total {float(total_w)!r} gives a non-finite CMD gradient")
     return float(value), grad
 

@@ -267,12 +267,13 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
                validation=None) -> ModelParams:
     """Full-batch Adam on the dual-head objective.
 
-    The main head trains on clean plus distribution-consistent pseudo-nodes;
-    the pseudo head trains on the leftover candidates with weight
-    ``lambda_dual`` (>= 0), feeding gradients into the shared extractor. When a
-    validation (nodes, labels) pair is given the parameters with the best
-    validation accuracy seen during training are returned, otherwise the
-    final-epoch parameters.
+    The main head trains on the clean pair followed by the
+    distribution-consistent pseudo pair: the two are concatenated in that
+    order and are otherwise treated alike. The pseudo head trains on the
+    leftover candidates with weight ``lambda_dual`` (>= 0), feeding gradients
+    into the shared extractor. When a validation (nodes, labels) pair is given
+    the parameters with the best validation accuracy seen during training are
+    returned, otherwise the final-epoch parameters.
     """
     if lambda_dual < 0:
         raise ValueError(f"lambda_dual must be >= 0, got {lambda_dual}")

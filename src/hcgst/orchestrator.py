@@ -181,7 +181,7 @@ def _accuracy(predictions, truth, idx) -> float:
 def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) -> RunReport:
     """Execute the full self-training workflow and report per-stage and per-bin results.
 
-    The partition is copied, never mutated. Stages stop early when validation
+    The partition is never changed. Stages stop early when validation
     accuracy fails to improve for two consecutive stages; with an empty
     validation set every stage runs and the last model wins. The run uses one
     BLAS thread; ``hcgst run --jobs`` spreads whole runs over cores.
@@ -192,65 +192,68 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         raise ValueError("labeled set must be non-empty")
     if partition.unlabeled.size == 0:
         raise ValueError("unlabeled set must be non-empty: it is the test set")
-    if partition.pseudo.size:
-        raise ValueError("the partition must not start with pseudo nodes: their labels are unknown")
+    for name in ("labeled", "validation", "unlabeled"):
+        ids = getattr(partition, name)
+        bad = ids[(ids < 0) | (ids >= graph.n)]
+        if bad.size:
+            raise ValueError(f"{name} node {int(bad[0])} outside [0, {graph.n})")
 
     knobs = _variant_knobs(cfg)
-    part = replace(partition)  # add_pseudo rebinds the arrays and never writes into them
     y_true = graph.labels
     x = graph.features
     n_bins = cfg.n_bins
-    k_stage = cfg.k_per_stage if cfg.k_per_stage is not None else int(part.labeled.size)
+    # the training pool: labeled nodes first, then each stage's picks; pool[n_labeled:] are pseudo
+    pool, pool_y = partition.labeled, y_true[partition.labeled]
+    n_labeled = pool.size
+    k_stage = cfg.k_per_stage if cfg.k_per_stage is not None else n_labeled
 
     view1 = k_hop_adjacency(graph, 1)
     view_k = None
-    test_set = part.unlabeled  # evaluation set is fixed before pseudo-labeling
-    have_val = part.validation.size > 0
-    val_pair = (part.validation, y_true[part.validation]) if have_val else None
+    have_val = partition.validation.size > 0
+    val_pair = (partition.validation, y_true[partition.validation]) if have_val else None
 
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    def train(stage, pseudo_pair, leftover_pair):
+    def train(stage, leftover_pair):
         # retraining always uses the one-hop view; multi-hop outputs only label
         try:
             return train_dual(init_params(graph.d, cfg.hidden, graph.c, cfg.seed), graph, view1,
-                              (part.labeled, y_true[part.labeled]), pseudo_pair, leftover_pair,
-                              cfg.train, cfg.lambda_d, validation=val_pair)
+                              (pool, pool_y), empty, leftover_pair, cfg.train, cfg.lambda_d,
+                              validation=val_pair)
         except RuntimeError as err:
             raise RuntimeError(f"training diverged at stage {stage}: {err}") from err
 
-    params = train(0, empty, empty)
+    params = train(0, empty)
     logits = forward(params, view1, x)
     backbone_preds = np.argmax(logits, axis=1)
-    val_acc = _accuracy(backbone_preds, y_true, part.validation)
+    val_acc = _accuracy(backbone_preds, y_true, partition.validation)
 
     true_profile = true_homophily_profile(graph)
     global_true = bin_distribution(true_profile, n_bins)
 
     best_val, best_stage, best_params, best_preds = val_acc, 0, params, backbone_preds
     patience = 0
-    pseudo_y = np.empty(0, dtype=np.int64)  # labels of part.pseudo, co-indexed
     stage_reports = []
 
     for s in range(1, knobs.stages + 1):
         soft = softmax_rows(logits)
         conf = soft.max(axis=1)
 
-        override = dict(zip(part.train_pool().tolist(),
-                            np.concatenate([y_true[part.labeled], pseudo_y]).tolist()))
+        override = dict(zip(pool.tolist(), pool_y.tolist()))
         est_h = estimate_homophily_profile(soft, graph, override)
         global_est = bin_distribution(est_h, n_bins)
 
         # an empty candidate set skips selection and retraining: the stage keeps
         # the current model, cannot become the best stage and costs patience
-        cands = candidate_set(soft, part.pseudo, part.labeled, part.validation, cfg.delta_c)
+        cands = candidate_set(soft, pool[n_labeled:], partition.labeled, partition.validation,
+                              cfg.delta_c)
         selected = new_labels = np.empty(0, dtype=np.int64)
         from_multi_hop = np.empty(0, dtype=bool)
         kl_picks = float("nan")
         if cands.size == 0:
             logger.warning("stage %d: empty candidate set, skipping", s)
         else:
-            local_est = bin_distribution(est_h[part.train_pool()], n_bins)
+            local_est = bin_distribution(est_h[pool], n_bins)
             target = target_distribution(global_est, local_est, k_stage)
 
             q = np.zeros(cands.size)  # a constant q ranks by confidence alone
@@ -274,19 +277,17 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
 
             picked = np.searchsorted(cands, selected)  # cands ascend
             new_labels, from_multi_hop = cand_labels[picked], cand_multi_hop[picked]
-            part.add_pseudo(selected)
-            pseudo_y = np.concatenate([pseudo_y, new_labels])
+            pool, pool_y = np.concatenate([pool, selected]), np.concatenate([pool_y, new_labels])
 
             # the leftover candidates train the pseudo head; an empty pair switches it off
             rest = np.delete(np.arange(cands.size), picked) if knobs.dual_head else picked[:0]
-            params = train(s, (part.pseudo, pseudo_y), (cands[rest], cand_labels[rest]))
+            params = train(s, (cands[rest], cand_labels[rest]))
             logits = forward(params, view1, x)  # also the next stage's selection pass
 
         preds = np.argmax(logits, axis=1)
-        val_acc = _accuracy(preds, y_true, part.validation)
-        test_acc = _accuracy(preds, y_true, test_set)
-        local = part.train_pool()
-        has_pseudo = part.pseudo.size > 0
+        val_acc = _accuracy(preds, y_true, partition.validation)
+        test_acc = _accuracy(preds, y_true, partition.unlabeled)
+        pseudo = pool[n_labeled:]
         stage_reports.append(StageReport(
             stage=s,
             selected=selected.tolist(),
@@ -296,13 +297,13 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             n_candidates=int(cands.size),
             n_multi_hop=int(from_multi_hop.sum()),
             kl_picks_target=kl_picks,
-            pseudo_mean_est_h=float(np.mean(est_h[part.pseudo])) if has_pseudo else float("nan"),
-            pseudo_mean_true_h=float(np.mean(true_profile[part.pseudo])) if has_pseudo else float("nan"),
+            pseudo_mean_est_h=float(np.mean(est_h[pseudo])) if pseudo.size else float("nan"),
+            pseudo_mean_true_h=float(np.mean(true_profile[pseudo])) if pseudo.size else float("nan"),
             global_mean_est_h=float(np.mean(est_h)),
-            kl_local_global_true=float(kl_divergence(bin_distribution(true_profile[local], n_bins),
+            kl_local_global_true=float(kl_divergence(bin_distribution(true_profile[pool], n_bins),
                                                      global_true)),
-            kl_local_global_est=float(kl_divergence(bin_distribution(est_h[local], n_bins), global_est)),
-            cmd_global_local=float(cmd(logits, logits[local])),
+            kl_local_global_est=float(kl_divergence(bin_distribution(est_h[pool], n_bins), global_est)),
+            cmd_global_local=float(cmd(logits, logits[pool])),
             val_acc=float(val_acc),
             test_acc=float(test_acc),
         ))
@@ -315,8 +316,8 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         if have_val and patience >= 2:
             break
 
-    bins_backbone = per_bin_accuracy(backbone_preds, y_true, true_profile, n_bins, test_set)
-    bins_st = per_bin_accuracy(best_preds, y_true, true_profile, n_bins, test_set)
+    bins_backbone = per_bin_accuracy(backbone_preds, y_true, true_profile, n_bins, partition.unlabeled)
+    bins_st = per_bin_accuracy(best_preds, y_true, true_profile, n_bins, partition.unlabeled)
     tpv, npv, ppv = bias_metrics(bins_st, bins_backbone)
     keep = ~(np.isnan(bins_st) | np.isnan(bins_backbone))
     bin_report = BinReport(
@@ -324,8 +325,8 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         bin_acc_st=[None if np.isnan(v) else float(v) for v in bins_st],
         deltas=(bins_st[keep] - bins_backbone[keep]).tolist(),
         tpv=tpv, npv=npv, ppv=ppv,
-        acc_backbone=_accuracy(backbone_preds, y_true, test_set),
-        acc_st=_accuracy(best_preds, y_true, test_set),
+        acc_backbone=_accuracy(backbone_preds, y_true, partition.unlabeled),
+        acc_st=_accuracy(best_preds, y_true, partition.unlabeled),
     )
 
     if stage_reports:  # the loop stops right after a report, so the last one holds the final pool
@@ -335,14 +336,14 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
                      pseudo_mean_true_h=last.pseudo_mean_true_h)
     else:  # no stage: the pool is the labeled set, and no homophily was estimated
         nan = float("nan")
-        pool_kl = kl_divergence(bin_distribution(true_profile[part.labeled], n_bins), global_true)
+        pool_kl = kl_divergence(bin_distribution(true_profile[pool], n_bins), global_true)
         final = dict(final_kl_true=float(pool_kl), final_kl_est=nan, pseudo_mean_est_h=nan,
                      global_mean_est_h=nan, pseudo_mean_true_h=nan)
     return RunReport(
         variant=cfg.variant, seed=cfg.seed, config=asdict(cfg),
         stage_reports=stage_reports, best_stage=best_stage,
         val_acc=best_val, test_acc=bin_report.acc_st, bin_report=bin_report,
-        final_pseudo_count=int(part.pseudo.size),
+        final_pseudo_count=int(pool.size - n_labeled),
         **final, global_mean_true_h=float(np.mean(true_profile)),
         params=best_params,
     )

@@ -66,7 +66,8 @@ class SelectionVector:
 
 def candidate_set(soft_labels, prior_pseudo, labeled, validation, delta_c: float) -> np.ndarray:
     """Nodes whose max softmax exceeds delta_c, minus prior pseudo, labeled and
-    validation nodes; ascending node-id order. May be empty."""
+    validation nodes; ascending node-id order. May be empty. An excluded id
+    outside [0, n) is a ValueError."""
     if not 0 < delta_c < 1:
         raise ValueError(f"delta_c must lie in (0, 1), got {delta_c}")
     soft = np.asarray(soft_labels, dtype=np.float64)
@@ -74,8 +75,10 @@ def candidate_set(soft_labels, prior_pseudo, labeled, validation, delta_c: float
     mask = conf > delta_c
     for excluded in (prior_pseudo, labeled, validation):
         excluded = np.asarray(excluded, dtype=np.int64)
-        if excluded.size:
-            mask[excluded] = False
+        bad = excluded[(excluded < 0) | (excluded >= mask.size)]
+        if bad.size:
+            raise ValueError(f"excluded node {int(bad[0])} outside [0, {mask.size})")
+        mask[excluded] = False
     return np.nonzero(mask)[0].astype(np.int64)
 
 

@@ -32,6 +32,10 @@ class SynthConfig:
         self.target_histogram = np.asarray(self.target_histogram, dtype=np.float64)
         if np.any(self.target_histogram < 0) or self.target_histogram.sum() <= 0:
             raise ValueError("target_histogram must be non-negative with positive sum")
+        if self.classes < 1 or self.feature_dim < 1:
+            raise ValueError(f"classes and feature_dim must be >= 1, got {self.classes} and {self.feature_dim}")
+        if self.mean_degree < 0:
+            raise ValueError(f"mean_degree must be >= 0, got {self.mean_degree}")
         if self.separation < 0:
             raise ValueError("separation must be >= 0")
         if not 0 <= self.cross_structure <= 1:
@@ -140,7 +144,7 @@ def sample_training_set(graph: Graph, label_rate: float, mode: str, n_bins: int,
     homophily_biased puts the whole budget in the top 4 bins, heterophily_biased
     in the bottom 4, and representative matches the global bin frequencies.
     When a bin runs out of nodes the shortfall falls back to the nearest
-    non-exhausted bin (logged).
+    non-exhausted bins, with one logged warning per exhausted bin.
     """
     if mode not in BIAS_MODES:
         raise ValueError(f"unknown bias mode {mode!r}; expected one of {BIAS_MODES}")
@@ -169,19 +173,19 @@ def sample_training_set(graph: Graph, label_rate: float, mode: str, n_bins: int,
     rng = np.random.default_rng(seed)
     chosen, remaining = [], []
     for b in range(n_bins):
-        take = min(int(targets[b]), bins[b].size)
         perm = rng.permutation(bins[b])
-        chosen.extend(perm[:take].tolist())
-        remaining.append(list(perm[take:]))
-        if take < targets[b]:
-            logger.warning("bin %d exhausted: wanted %d nodes, found %d", b, int(targets[b]), take)
+        chosen.extend(perm[:targets[b]].tolist())
+        remaining.append(list(perm[targets[b]:]))
 
-    shortfall_bins = [b for b in range(n_bins) for _ in range(int(targets[b]) - min(int(targets[b]), bins[b].size))]
-    for b in shortfall_bins:
-        for off in range(1, n_bins):
-            fallback = next((j for j in (b - off, b + off) if 0 <= j < n_bins and remaining[j]), None)
-            if fallback is not None:
-                chosen.append(remaining[fallback].pop(0))
-                logger.warning("fallback: bin %d borrowed a node from bin %d", b, fallback)
-                break
+    for b in np.flatnonzero(targets > sizes).tolist():  # each exhausted bin borrows from its nearest neighbors
+        lenders = []
+        for _ in range(int(targets[b] - sizes[b])):
+            for off in range(1, n_bins):
+                fallback = next((j for j in (b - off, b + off) if 0 <= j < n_bins and remaining[j]), None)
+                if fallback is not None:
+                    chosen.append(remaining[fallback].pop(0))
+                    lenders.append(fallback)
+                    break
+        logger.warning("bin %d exhausted: wanted %d nodes, found %d, borrowed from bins %s",
+                       b, targets[b], bins[b].size, sorted(set(lenders)))
     return np.array(sorted(chosen), dtype=np.int64)

@@ -61,6 +61,15 @@ def test_generate_rejects_bad_histogram(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--mean-degree", "-2"), ("--classes", "0"),
+                                         ("--feature-dim", "0")])
+def test_generate_rejects_impossible_sizes(tmp_path, capsys, flag, value):
+    out = tmp_path / "x"
+    assert main(["generate", "--n", "40", flag, value, "--out", str(out)]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_writes_reports_and_aggregate(tmp_path):
     graph = _generate(tmp_path)
     out = tmp_path / "runs"

@@ -245,49 +245,6 @@ def test_partition_disjointness_enforced():
         make_partition(5, labeled=[0, 1], validation=[1])
 
 
-def test_partition_pseudo_grows_from_unlabeled():
-    part = make_partition(6, labeled=[0], validation=[1])
-    part.add_pseudo([2, 3])
-    part.add_pseudo([4])
-    assert part.pseudo.tolist() == [2, 3, 4]
-    assert part.unlabeled.tolist() == [5]
-    with pytest.raises(ValueError):
-        part.add_pseudo([2])  # already pseudo
-
-
-def _partition_state(part):
-    return [a.tolist() for a in (part.labeled, part.validation, part.unlabeled, part.pseudo)]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(2, 30), st.data())
-def test_partition_add_pseudo_keeps_sets_disjoint(n, data):
-    order = data.draw(st.permutations(range(n)))
-    n_lab = data.draw(st.integers(1, n - 1))
-    n_val = data.draw(st.integers(0, n - n_lab))
-    part = make_partition(n, order[:n_lab], order[n_lab:n_lab + n_val])
-    node = st.integers(0, n - 1)
-    for _ in range(data.draw(st.integers(1, 6))):
-        nodes = data.draw(st.lists(node, max_size=5))
-        before = _partition_state(part)
-        valid = len(set(nodes)) == len(nodes) and set(nodes) <= set(before[2])
-        if valid:
-            part.add_pseudo(nodes)
-        else:
-            with pytest.raises(ValueError):
-                part.add_pseudo(nodes)
-            assert _partition_state(part) == before
-        sets = [set(s) for s in _partition_state(part)]
-        assert sum(map(len, sets)) == len(set().union(*sets)) == n
-
-
-def test_partition_rejects_duplicate_pseudo_nodes():
-    part = make_partition(10, labeled=[0], validation=[1])
-    with pytest.raises(ValueError, match="distinct"):
-        part.add_pseudo([5, 5])
-    assert part.pseudo.size == 0 and 5 in part.unlabeled
-
-
 def test_graph_dir_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 8, size=(14, 2))]

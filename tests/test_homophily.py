@@ -61,6 +61,13 @@ def test_estimate_rejects_zero_norm_row():
         estimate_node_homophily(soft, g, 0)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_estimate_rejects_override_node_outside_the_graph(bad):
+    g = _graph([(0, 1), (1, 2)], n=3)
+    with pytest.raises(ValueError, match=f"override node {bad} outside"):
+        estimate_homophily_profile(np.full((3, 2), 0.5), g, {bad: 0})
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_one_hot_estimate_matches_definition(seed):
     g = _random_graph(seed)

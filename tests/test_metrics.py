@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -59,12 +61,11 @@ def test_cmd_scale_bounds(case):
     cfg = CmdConfig(max_order=max_order)
     bound = (2 * max_order - 1) * np.sqrt(x.shape[1]) * (1 + 1e-9)
     assert 0.0 <= cmd(x, y, cfg) <= bound
-    with np.errstate(all="ignore"):  # a tiny weight total overflows the gradient
-        try:
-            weighted = cmd_weighted_with_grad(x, w, y, cfg)[0]
-        except ValueError as err:  # raised for a non-finite gradient, so only near the float minimum
-            assert "weight total" in str(err) and w.sum() < 1e-300
-            return
+    try:
+        weighted = cmd_weighted_with_grad(x, w, y, cfg)[0]
+    except ValueError as err:  # raised for a non-finite gradient, so only near the float minimum
+        assert "weight total" in str(err) and w.sum() < 1e-300
+        return
     assert 0.0 <= weighted <= bound
 
 
@@ -159,10 +160,12 @@ def test_cmd_weighted_rejects_zero_total():
 
 @pytest.mark.parametrize("w", [[5e-324, 0.0], [1e-310, 1e-310]])
 def test_cmd_weighted_rejects_weight_total_too_small_for_a_finite_gradient(w):
-    # 1 / W overflows; the value would be finite, the gradient NaN
+    # 1 / W overflows; the value would be finite, the gradient NaN. The error is the one signal.
     total = repr(float(np.sum(w)))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match=f"weight total {total} "):
-        cmd_weighted_with_grad([[0.0], [1.0]], w, [[0.5], [0.2]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"weight total {total} "):
+            cmd_weighted_with_grad([[0.0], [1.0]], w, [[0.5], [0.2]])
 
 
 def test_cmd_weighted_gradient_finite_at_a_tiny_normal_weight_total():

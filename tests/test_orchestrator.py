@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hcgst.graph import k_hop_adjacency, make_partition, true_homophily_profile
+from hcgst.graph import NodePartition, k_hop_adjacency, make_partition, true_homophily_profile
 from hcgst.homophily import bin_distribution, estimate_homophily_profile, target_distribution
 from hcgst.metrics import kl_divergence
 from hcgst.model import TrainConfig, forward, init_params, softmax_rows, train_dual
@@ -97,11 +97,18 @@ def test_requires_nonempty_labeled(small_graph):
         run_self_training(small_graph, part, _cfg())
 
 
-def test_rejects_partition_with_pseudo_nodes(small_graph):
-    part = _partition(small_graph)
-    part.add_pseudo(part.unlabeled[:2])
-    with pytest.raises(ValueError, match="pseudo nodes"):
+@pytest.mark.parametrize("bad", [-1, 120])
+def test_rejects_node_ids_outside_the_graph(small_graph, bad):
+    assert small_graph.n == 120
+    part = make_partition(small_graph.n, [bad, 0, 1, 2, 3, 4], [5, 6])
+    with pytest.raises(ValueError, match=f"labeled node {bad} outside"):
         run_self_training(small_graph, part, _cfg())
+    by_hand = NodePartition(labeled=[0, 1, 2], validation=[bad], unlabeled=np.arange(3, 119))
+    with pytest.raises(ValueError, match=f"validation node {bad} outside"):
+        run_self_training(small_graph, by_hand, _cfg())
+    by_hand = NodePartition(labeled=[0, 1, 2], validation=[3], unlabeled=[4, 5, bad])
+    with pytest.raises(ValueError, match=f"unlabeled node {bad} outside"):
+        run_self_training(small_graph, by_hand, _cfg())
 
 
 @pytest.mark.parametrize("variant", ["hcgst", "st_confidence"])
@@ -170,21 +177,23 @@ def test_no_candidates_degenerates_to_backbone(small_graph):
 
 def test_pseudo_set_grows_by_at_most_k_and_stays_unique(small_graph):
     cfg = _cfg(variant="hcgst", k_per_stage=4, stages=4)
-    rep = run_self_training(small_graph, _partition(small_graph), cfg)
+    part = _partition(small_graph)
+    rep = run_self_training(small_graph, part, cfg)
     seen = []
     for stage in rep.stage_reports:
         assert len(stage.selected) <= 4
         seen.extend(stage.selected)
     assert len(seen) == len(set(seen))
     assert rep.final_pseudo_count == len(seen)
+    assert seen and not set(seen) & set(np.concatenate([part.labeled, part.validation]).tolist())
 
 
 def test_partition_not_mutated(small_graph):
     part = _partition(small_graph)
-    before = part.unlabeled.copy()
+    before = [part.labeled.copy(), part.validation.copy(), part.unlabeled.copy()]
     run_self_training(small_graph, part, _cfg(variant="hcgst"))
-    assert np.array_equal(part.unlabeled, before)
-    assert part.pseudo.size == 0
+    for now, then in zip([part.labeled, part.validation, part.unlabeled], before):
+        assert np.array_equal(now, then)
 
 
 def test_run_deterministic(small_graph):

@@ -78,6 +78,14 @@ def test_candidate_set_excludes_prior_pseudo_labeled_validation():
     assert out.tolist() == [0, 4, 5]
 
 
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_candidate_set_rejects_excluded_node_outside_the_graph(bad):
+    soft = np.tile([0.9, 0.1], (6, 1))
+    for excluded in ([[bad], [], []], [[], [bad], []], [[], [], [bad]]):
+        with pytest.raises(ValueError, match=f"excluded node {bad} outside"):
+            candidate_set(soft, *excluded, delta_c=0.65)
+
+
 def test_candidate_set_rejects_bad_threshold():
     with pytest.raises(ValueError):
         candidate_set(np.ones((2, 2)), [], [], [], delta_c=1.5)

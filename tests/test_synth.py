@@ -1,8 +1,11 @@
+import logging
+
 import numpy as np
 import pytest
 
+from hcgst import synth
 from hcgst.graph import build_graph, graph_homophily, true_homophily_profile
-from hcgst.homophily import bin_distribution
+from hcgst.homophily import bin_distribution, bin_index
 from hcgst.metrics import kl_divergence
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
 
@@ -75,6 +78,31 @@ def test_config_rejects_bad_histogram():
         SynthConfig(target_histogram=np.zeros(10))
     with pytest.raises(ValueError):
         SynthConfig(target_histogram=np.array([1.0, -0.5]))
+
+
+@pytest.mark.parametrize("field, value", [("mean_degree", -2.0), ("classes", 0), ("feature_dim", 0)])
+def test_config_rejects_impossible_sizes(field, value):
+    with pytest.raises(ValueError, match=field):
+        SynthConfig(**{field: value})
+
+
+def test_sample_fallback_takes_every_node_of_an_exhausted_bin_and_logs_it_once(caplog):
+    g = generate_graph(SynthConfig(n=500, target_histogram=[0] * 7 + [1] * 3, seed=7))
+    bins = bin_index(true_homophily_profile(g), 10)
+    sizes = np.bincount(bins, minlength=10)
+    with caplog.at_level(logging.WARNING, logger="hcgst.synth"):
+        nodes = sample_training_set(g, 0.02, "heterophily_biased", 10, seed=0)
+    assert nodes.size == np.unique(nodes).size == int(np.floor(0.02 * g.n))
+    assert nodes.min() >= 0 and nodes.max() < g.n
+    # the budget goes to the bottom four bins in proportion to their sizes
+    wanted = synth._largest_remainder(np.maximum(sizes[:4], 1e-9), nodes.size)
+    exhausted = np.flatnonzero(wanted > sizes[:4])
+    assert exhausted.size  # this graph leaves the fallback work to do
+    for b in exhausted:
+        assert np.isin(np.flatnonzero(bins == b), nodes).all()
+    warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warned) <= 10
+    assert sorted(int(m.split()[1]) for m in warned) == exhausted.tolist()
 
 
 def test_sample_returns_exact_budget_of_distinct_nodes():
