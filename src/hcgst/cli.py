@@ -237,15 +237,8 @@ def _write_run_outputs(out_dir: Path, reports) -> None:
     header, rows = _aggregate_rows(dicts)
     _write_csv(out_dir / "aggregate.csv", header, rows)
 
-    stage_header, bin_header = [], []
-    stage_rows, bin_rows = [], []
-    for rep in reports:
-        stage_header, r_s = stage_csv_rows(rep)
-        bin_header, r_b = bin_csv_rows(rep)
-        stage_rows.extend(r_s)
-        bin_rows.extend(r_b)
-    _write_csv(out_dir / "stages.csv", stage_header, stage_rows)
-    _write_csv(out_dir / "bins.csv", bin_header, bin_rows)
+    _write_csv(out_dir / "stages.csv", *stage_csv_rows(reports))
+    _write_csv(out_dir / "bins.csv", *bin_csv_rows(reports))
 
 
 def cmd_generate(args) -> int:

@@ -36,6 +36,15 @@ class Graph:
         return np.diff(self.adj.indptr).astype(np.int64)
 
 
+def _ids(what, ids, bound) -> np.ndarray:
+    """``ids`` as int64, or a ValueError naming the first id outside [0, bound)."""
+    ids = np.asarray(ids, dtype=np.int64)
+    bad = ids[(ids < 0) | (ids >= bound)]
+    if bad.size:
+        raise ValueError(f"{what} {int(bad[0])} outside [0, {bound})")
+    return ids
+
+
 def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     """Construct a :class:`Graph` from raw edge pairs and a feature matrix.
 
@@ -166,7 +175,7 @@ def graph_homophily(graph: Graph) -> float:
 
 @dataclass
 class NodePartition:
-    """Disjoint labeled / validation / unlabeled node sets.
+    """Disjoint labeled / validation / unlabeled sets of distinct nodes.
 
     A run never changes the partition: it keeps its own pool of labeled and
     pseudo-labeled nodes, and the unlabeled set stays its test set.
@@ -180,10 +189,11 @@ class NodePartition:
         self.labeled = np.asarray(self.labeled, dtype=np.int64)
         self.validation = np.asarray(self.validation, dtype=np.int64)
         self.unlabeled = np.asarray(self.unlabeled, dtype=np.int64)
-        # a node may repeat within one set, never across two
-        members = np.concatenate([np.unique(s) for s in (self.labeled, self.validation, self.unlabeled)])
-        if np.unique(members).size != members.size:
-            raise ValueError("labeled/validation/unlabeled sets must be pairwise disjoint")
+        ids, counts = np.unique(np.concatenate([self.labeled, self.validation, self.unlabeled]),
+                                return_counts=True)
+        if np.any(counts > 1):
+            raise ValueError(f"node {int(ids[counts > 1][0])} repeats: labeled/validation/unlabeled "
+                             "sets must be pairwise disjoint, each without repeats")
 
 
 def make_partition(n: int, labeled, validation) -> NodePartition:

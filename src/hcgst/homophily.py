@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _ids
 
 
 def bin_index(ratios, n_bins: int) -> np.ndarray:
@@ -62,14 +62,9 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
     """
     soft = np.array(soft_labels, dtype=np.float64, copy=True)
     if label_override:
-        c = soft.shape[1]
-        nodes = np.fromiter(label_override.keys(), dtype=np.int64)
-        labs = np.fromiter(label_override.values(), dtype=np.int64)  # in the keys' order
-        bad = nodes[(nodes < 0) | (nodes >= graph.n)]
-        if bad.size:
-            raise ValueError(f"override node {int(bad[0])} outside [0, {graph.n})")
-        if np.any((labs < 0) | (labs >= c)):
-            raise ValueError("override label outside [0, c)")
+        nodes = _ids("override node", np.fromiter(label_override.keys(), dtype=np.int64), graph.n)
+        labs = _ids("override label", np.fromiter(label_override.values(), dtype=np.int64),  # keys' order
+                    soft.shape[1])
         soft[nodes] = 0.0
         soft[nodes, labs] = 1.0
     unit = _normalized_rows(soft)

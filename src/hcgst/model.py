@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .graph import _ids, k_hop_adjacency
+
 logger = logging.getLogger(__name__)
 
 _ADAM_B1 = 0.9
@@ -251,13 +253,10 @@ def _flat_copy(params: ModelParams):
     return ModelParams(*views), flat
 
 
-def _check_label_sets(name, nodes, labels, c):
-    nodes = np.asarray(nodes, dtype=np.int64)
-    labels = np.asarray(labels, dtype=np.int64)
+def _check_label_sets(name, nodes, labels, n, c):
+    nodes, labels = _ids(f"{name} node", nodes, n), _ids(f"{name} label", labels, c)
     if nodes.shape != labels.shape:
         raise ValueError(f"{name}: nodes and labels must be co-indexed")
-    if labels.size and (labels.min() < 0 or labels.max() >= c):
-        raise ValueError(f"{name}: label outside [0, {c})")
     return nodes, labels
 
 
@@ -277,19 +276,17 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     """
     if lambda_dual < 0:
         raise ValueError(f"lambda_dual must be >= 0, got {lambda_dual}")
-    c = params.w_main.shape[1]
-    clean_idx, clean_y = _check_label_sets("clean set", *clean_with_labels, c=c)
-    cons_idx, cons_y = _check_label_sets("consistent pseudo set", *pseudo_with_labels, c=c)
-    left_idx, left_y = _check_label_sets("leftover set", *leftover_with_labels, c=c)
+    n, c = graph.n, params.w_main.shape[1]
+    clean_idx, clean_y = _check_label_sets("clean set", *clean_with_labels, n, c)
+    cons_idx, cons_y = _check_label_sets("consistent pseudo set", *pseudo_with_labels, n, c)
+    left_idx, left_y = _check_label_sets("leftover set", *leftover_with_labels, n, c)
     if clean_idx.size == 0:
         raise ValueError("clean training set must be non-empty")
     all_train = np.concatenate([clean_idx, cons_idx, left_idx])
     if len(np.unique(all_train)) != all_train.size:
         raise ValueError("clean, consistent and leftover sets must be disjoint")
 
-    val_idx = val_y = None
-    if validation is not None:
-        val_idx, val_y = _check_label_sets("validation set", *validation, c=c)
+    val_idx, val_y = _check_label_sets("validation set", *(validation or ((), ())), n, c)
     rows = TrainingRows(view, graph.features, np.concatenate([clean_idx, cons_idx]),
                         np.concatenate([clean_y, cons_y]), left_idx, left_y, val_idx)
 
@@ -302,7 +299,7 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
         loss, grads, zm = dual_loss_and_grads(cur, rows, lambda_dual, cfg.weight_decay)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
-        if val_idx is not None:
+        if val_idx.size:
             acc = float(np.mean(np.argmax(zm[rows.val_pos], axis=1) == val_y))
             if best is None or acc >= best[0]:  # ties prefer the later, better-fitted epoch
                 best = (acc, cur.copy())
@@ -324,8 +321,6 @@ def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dua
     Runs on a tiny labelled instance and its 1-hop view; even nodes form the
     main set and odd nodes the leftover pseudo set.
     """
-    from .graph import k_hop_adjacency
-
     if tiny_graph.labels is None:
         raise ValueError("gradient check needs a labelled graph")
     y = tiny_graph.labels

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .graph import Graph, NodePartition, k_hop_adjacency, true_homophily_profile
+from .graph import Graph, NodePartition, _ids, k_hop_adjacency, true_homophily_profile
 from .homophily import bin_distribution, bin_index, estimate_homophily_profile, target_distribution
 from .metrics import cmd, kl_divergence
 from .model import TrainConfig, _one_blas_thread, forward, init_params, softmax_rows, train_dual
@@ -193,10 +193,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     if partition.unlabeled.size == 0:
         raise ValueError("unlabeled set must be non-empty: it is the test set")
     for name in ("labeled", "validation", "unlabeled"):
-        ids = getattr(partition, name)
-        bad = ids[(ids < 0) | (ids >= graph.n)]
-        if bad.size:
-            raise ValueError(f"{name} node {int(bad[0])} outside [0, {graph.n})")
+        _ids(f"{name} node", getattr(partition, name), graph.n)
 
     knobs = _variant_knobs(cfg)
     y_true = graph.labels
@@ -210,7 +207,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     view1 = k_hop_adjacency(graph, 1)
     view_k = None
     have_val = partition.validation.size > 0
-    val_pair = (partition.validation, y_true[partition.validation]) if have_val else None
 
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
@@ -219,7 +215,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         try:
             return train_dual(init_params(graph.d, cfg.hidden, graph.c, cfg.seed), graph, view1,
                               (pool, pool_y), empty, leftover_pair, cfg.train, cfg.lambda_d,
-                              validation=val_pair)
+                              validation=(partition.validation, y_true[partition.validation]))
         except RuntimeError as err:
             raise RuntimeError(f"training diverged at stage {stage}: {err}") from err
 
@@ -349,21 +345,20 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     )
 
 
-def stage_csv_rows(report: RunReport):
-    """Flat rows (one per stage) for stages.csv: n_selected and the scalar StageReport fields."""
+def stage_csv_rows(reports):
+    """Header and rows (one per stage of each report) for stages.csv: n_selected and the scalar
+    StageReport fields."""
     scalars = [f.name for f in fields(StageReport) if f.type != "list" and f.name != "stage"]
     header = ["variant", "seed", "stage", "n_selected", *scalars]
-    rows = [[report.variant, report.seed, s.stage, len(s.selected), *(getattr(s, k) for k in scalars)]
-            for s in report.stage_reports]
+    rows = [[rep.variant, rep.seed, s.stage, len(s.selected), *(getattr(s, k) for k in scalars)]
+            for rep in reports for s in rep.stage_reports]
     return header, rows
 
 
-def bin_csv_rows(report: RunReport):
-    """Flat rows (one per homophily bin) for bins.csv emission."""
+def bin_csv_rows(reports):
+    """Header and rows (one per homophily bin of each report) for bins.csv."""
     header = ["variant", "seed", "bin", "acc_backbone", "acc_self_trained", "delta"]
-    rows = []
-    br = report.bin_report
-    for i, (b, s) in enumerate(zip(br.bin_acc_backbone, br.bin_acc_st)):
-        delta = None if b is None or s is None else s - b
-        rows.append([report.variant, report.seed, i, b, s, delta])
+    rows = [[rep.variant, rep.seed, i, b, s, None if b is None or s is None else s - b]
+            for rep in reports
+            for i, (b, s) in enumerate(zip(rep.bin_report.bin_acc_backbone, rep.bin_report.bin_acc_st))]
     return header, rows

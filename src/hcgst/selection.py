@@ -12,12 +12,12 @@ highest-ranked candidates become the stage's pseudo-nodes.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _ids
 from .homophily import bin_index
 from .metrics import cmd_fixed_terms, cmd_weighted_with_grad, kl_divergence_with_grad
 
@@ -46,9 +46,6 @@ class SelectionProblem:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.cand_repr.shape[0] != m or self.cand_homophily.shape[0] != m:
             raise ValueError("candidate representations and homophily must be co-indexed with candidates")
-        hh = np.asarray(self.cand_homophily)
-        if hh.min() < 0 or hh.max() > 1:
-            raise ValueError("candidate homophily ratios must lie in [0, 1]")
         target = np.asarray(self.target)
         if target.shape != (self.n_bins,):
             raise ValueError(f"target must have shape ({self.n_bins},), got {target.shape}")
@@ -56,7 +53,7 @@ class SelectionProblem:
             raise ValueError("target entries must be non-negative")
         # what L_q needs whatever q is, computed once: the CMD's fixed terms and each candidate's bin
         object.__setattr__(self, "cmd_fixed", cmd_fixed_terms(self.cand_repr, self.global_repr))
-        object.__setattr__(self, "bins", bin_index(hh, self.n_bins))
+        object.__setattr__(self, "bins", bin_index(self.cand_homophily, self.n_bins))
 
 
 @dataclass
@@ -74,11 +71,7 @@ def candidate_set(soft_labels, prior_pseudo, labeled, validation, delta_c: float
     conf = soft.max(axis=1)
     mask = conf > delta_c
     for excluded in (prior_pseudo, labeled, validation):
-        excluded = np.asarray(excluded, dtype=np.int64)
-        bad = excluded[(excluded < 0) | (excluded >= mask.size)]
-        if bad.size:
-            raise ValueError(f"excluded node {int(bad[0])} outside [0, {mask.size})")
-        mask[excluded] = False
+        mask[_ids("excluded node", excluded, mask.size)] = False
     return np.nonzero(mask)[0].astype(np.int64)
 
 
@@ -148,7 +141,7 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     return q
 
 
-def optimize_selection(problem: SelectionProblem, trace_path=None) -> SelectionVector:
+def optimize_selection(problem: SelectionProblem) -> SelectionVector:
     """Projected gradient descent on L_q subject to q in [0,1]^|C|, |q|_1 <= K.
 
     From the uniform q0 = min(K/|C|, 1), each of at most ``_ITERATIONS``
@@ -156,20 +149,19 @@ def optimize_selection(problem: SelectionProblem, trace_path=None) -> SelectionV
     max-normalized gradient and is projected onto the budget set. Stops with
     ``converged`` (zero gradient), ``stalled`` (a step left no mass, so L_q
     is undefined) or ``cap``, logged on one INFO line. Returns the
-    lowest-loss iterate, the start included; optionally writes a
-    per-iteration CSV trace.
+    lowest-loss iterate, the start included.
     """
     m = len(problem.candidates)
     q0 = np.full(m, min(problem.k / m, 1.0))
     q, best_q, best_loss = q0, q0, np.inf
-    rows = []  # [iteration, loss, cmd, kl, |q|_1] per evaluated iterate
     reason = "cap"
     for it in range(_ITERATIONS + 1):
         loss, grad, terms = selection_loss_and_grad(problem, q)
         if not np.isfinite(loss):
             diverged = [name for name, val in terms.items() if not np.isfinite(val)]
             raise RuntimeError(f"selection loss non-finite at iteration {it}; diverged terms: {diverged}")
-        rows.append([it, loss, terms["cmd"], terms["kl"], q.sum()])
+        if it == 0:
+            start_loss = loss
         if loss < best_loss:
             best_loss, best_q = loss, q
         if it == _ITERATIONS:
@@ -184,14 +176,9 @@ def optimize_selection(problem: SelectionProblem, trace_path=None) -> SelectionV
             reason = "stalled"
             break
     logger.info("selection: %d iterations, stop %s, L_q %.6g -> %.6g, |q|_1 %.6g of K = %d",
-                it, reason, rows[0][1], best_loss, best_q.sum(), problem.k)
+                it, reason, start_loss, best_loss, best_q.sum(), problem.k)
     if best_q is q0:
         logger.warning("selection: no iterate improved on the uniform start (stop %s)", reason)
-    if trace_path is not None:
-        with open(trace_path, "w", newline="\n") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["iteration", "loss", "cmd", "kl", "q_l1"])
-            w.writerows(rows)
     return SelectionVector(q=best_q)
 
 

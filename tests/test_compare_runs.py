@@ -27,6 +27,9 @@ def test_tree_against_its_copy_reads_identical(tmp_path, capsys):
                               "--stages", "1", "--work", str(tmp_path / "same")]) == 0
     out = capsys.readouterr().out
     assert "seed 0: byte-identical" in out and "picks" not in out
+    lines = compare_runs.source_lines(_ROOT)
+    assert lines == sum(len(p.read_text().splitlines()) for p in (_ROOT / "src" / "hcgst").glob("*.py"))
+    assert "help: identical\n" in out and f"src/hcgst lines: base {lines}  change {lines}\n" in out
 
 
 def test_two_variants_compare_each_run_report(tmp_path, capsys):

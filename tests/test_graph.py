@@ -245,6 +245,11 @@ def test_partition_disjointness_enforced():
         make_partition(5, labeled=[0, 1], validation=[1])
 
 
+def test_partition_rejects_repeat_within_one_set():
+    with pytest.raises(ValueError, match="node 0 repeats"):
+        make_partition(60, [0, 0, 1, 2, 3, 4], [5, 6])
+
+
 def test_graph_dir_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 8, size=(14, 2))]

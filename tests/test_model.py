@@ -211,6 +211,28 @@ def test_train_rejects_label_out_of_range():
                    (np.array([0]), np.array([9])), EMPTY, EMPTY, TrainConfig(epochs=1), 0.09)
 
 
+@pytest.mark.parametrize("bad", [-1, 20])
+@pytest.mark.parametrize("position, name", [(0, "clean set"), (1, "consistent pseudo set"),
+                                            (2, "leftover set"), (3, "validation set")])
+def test_train_rejects_node_out_of_range(position, name, bad):
+    g = _two_blob_graph()  # n = 20
+    sets = [(np.array([0]), g.labels[:1]), EMPTY, EMPTY, EMPTY]
+    sets[position] = (np.array([5, bad]), np.array([1, 1]))
+    with pytest.raises(ValueError, match=f"{name} node {bad} outside"):
+        train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), *sets[:3],
+                   TrainConfig(epochs=1), 0.09, validation=sets[3])
+
+
+def test_train_empty_validation_is_no_validation():
+    g = _two_blob_graph()
+    args = (g, k_hop_adjacency(g, 1), (np.arange(0, 20, 2), g.labels[::2]), EMPTY, EMPTY,
+            TrainConfig(epochs=20), 0.09)
+    none = train_dual(init_params(3, 4, 4, 0), *args, validation=None)
+    empty = train_dual(init_params(3, 4, 4, 0), *args, validation=EMPTY)
+    for key, mat in none.matrices().items():
+        assert np.array_equal(mat, empty.matrices()[key])
+
+
 def test_train_rejects_overlapping_sets():
     g = _two_blob_graph()
     pair = (np.array([0, 1]), g.labels[:2])

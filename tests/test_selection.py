@@ -31,6 +31,12 @@ def test_problem_rejects_target_of_wrong_length():
         replace(_random_problem(0), target=np.ones(4))
 
 
+def test_problem_rejects_homophily_outside_unit_interval():
+    problem = _random_problem(0)
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        replace(problem, cand_homophily=np.r_[problem.cand_homophily[:-1], 1.5])
+
+
 def test_problem_rejects_negative_target_entry():
     with pytest.raises(ValueError, match="non-negative"):
         replace(_random_problem(0), target=np.array([1.0, 0.0, -1.0, 2.0, 0.0]))
@@ -246,16 +252,6 @@ def test_optimizer_fixed_terms_change_no_bit(seed, m, k, active):
     ref, budget_active = _pgd_recomputing_every_term(problem)
     assert budget_active == active
     assert np.array_equal(optimize_selection(problem).q, ref)
-
-
-def test_optimizer_trace_csv(tmp_path, monkeypatch):
-    problem = _random_problem(1, m=4, k=2)
-    path = tmp_path / "trace.csv"
-    monkeypatch.setattr(selection, "_ITERATIONS", 10)
-    optimize_selection(problem, trace_path=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,loss,cmd,kl,q_l1"
-    assert len(lines) == 12  # header + 10 iterates + final point
 
 
 @pytest.mark.parametrize("cap", [0, 10])

@@ -14,7 +14,10 @@ it prints whether the outputs are byte-identical (each variant's run JSON
 without ``generated_at``, ``stages.csv``, ``bins.csv`` and
 ``aggregate.csv``), per variant ``test_acc``, ``final_kl_true`` and
 ``best_stage`` of both sides, and per stage the picks only one side made.
-Exits 0 when every seed is byte-identical, 1 otherwise.
+Before the seeds it prints ``help: identical`` or ``help: differs`` for the
+``hcgst run --help`` and ``hcgst sweep --help`` texts of the two checkouts,
+and each checkout's line count of ``src/hcgst/*.py`` (as ``wc -l`` counts).
+Exits 0 when the help texts and every seed are byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ SIDES = ("base", "change")
 
 # Run in a fresh interpreter with one checkout's sources first on the path:
 #   python -c CHILD SRC graph N SEED FIXTURE OUT   writes a graph directory
+#   python -c CHILD SRC help COMMAND               prints `hcgst COMMAND --help`
 #   python -c CHILD SRC run PICKS ARGS...          runs `hcgst run ARGS`, top_k's picks per variant to PICKS
 CHILD = r"""
 import json, sys
 src, mode, *rest = sys.argv[1:]
 sys.path.insert(0, src)
 from hcgst import cli, graph, orchestrator, synth
+if mode == "help":
+    cli.main([*rest, "--help"])
 if mode == "graph":
     n, seed, fixture, out = rest
     if fixture == "0":
@@ -77,11 +83,18 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def _child(checkout: Path, *args) -> None:
+def _child(checkout: Path, *args) -> str:
+    """The child's stdout."""
     cmd = [sys.executable, "-c", CHILD, str(checkout / "src"), *map(str, args)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {args[0]} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+    return proc.stdout
+
+
+def source_lines(checkout: Path) -> int:
+    """Newlines in ``src/hcgst/*.py``, the total ``wc -l`` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "hcgst").glob("*.py"))
 
 
 def run_side(checkout: Path, graph: Path, seed: int, stages: int, variants: list, out: Path) -> dict:
@@ -133,15 +146,20 @@ def main(argv=None) -> int:
         if not (checkout / "src" / "hcgst").is_dir():
             parser.error(f"{checkout} has no src/hcgst")
 
+    checkouts = (args.base, args.change)
+    helps = [[_child(checkout, "help", command) for command in ("run", "sweep")] for checkout in checkouts]
+    identical_all = helps[0] == helps[1]
+    print("help: " + ("identical" if identical_all else "differs"))
+    print("src/hcgst lines: " + "  ".join(f"{side} {source_lines(checkout)}"
+                                          for side, checkout in zip(SIDES, checkouts)), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        identical_all = True
         variants = [v.strip() for v in args.variant.split(",")]
         for seed in parse_seeds(args.seeds):
             graph = work / f"graph-{seed}"
             _child(args.base, "graph", args.n, 7 + seed, int(args.fixture), graph)
             sides = {side: run_side(checkout, graph, seed, args.stages, variants, work / f"{side}-{seed}")
-                     for side, checkout in zip(SIDES, (args.base, args.change))}
+                     for side, checkout in zip(SIDES, checkouts)}
             differ = [name for name in sides["base"]["texts"]
                       if sides["base"]["texts"][name] != sides["change"]["texts"][name]]
             identical_all &= not differ
