@@ -150,6 +150,7 @@ def true_node_homophily(graph: Graph, node: int) -> float:
     """Fraction of a node's 1-hop neighbors sharing its label; 0 for isolated nodes."""
     if graph.labels is None:
         raise ValueError("graph has no labels; node homophily is undefined")
+    node = int(_ids("node", node, graph.n))
     nb = graph.adj.indices[graph.adj.indptr[node]:graph.adj.indptr[node + 1]]
     if nb.size == 0:
         return 0.0

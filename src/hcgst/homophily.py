@@ -28,8 +28,10 @@ def bin_distribution(ratios, n_bins: int) -> np.ndarray:
     return np.bincount(bin_index(ratios, n_bins), minlength=n_bins).astype(np.float64)
 
 
-def _normalized_rows(soft_labels: np.ndarray) -> np.ndarray:
+def _normalized_rows(soft_labels, n: int) -> np.ndarray:
     soft = np.asarray(soft_labels, dtype=np.float64)
+    if soft.shape[0] != n:
+        raise ValueError(f"soft labels have {soft.shape[0]} rows but the graph has {n} nodes")
     if np.any(soft < 0):
         raise ValueError("soft labels must be non-negative")
     norms = np.linalg.norm(soft, axis=1)
@@ -45,10 +47,11 @@ def estimate_node_homophily(soft_labels, graph: Graph, node: int) -> float:
     Non-negative vectors keep the result in [0, 1]; isolated nodes are 0 by
     convention.
     """
+    unit = _normalized_rows(soft_labels, graph.n)
+    node = int(_ids("node", node, graph.n))
     nb = graph.adj.indices[graph.adj.indptr[node]:graph.adj.indptr[node + 1]]
     if nb.size == 0:
         return 0.0
-    unit = _normalized_rows(soft_labels)
     sims = unit[nb] @ unit[node]
     return float(np.clip(np.mean(sims), 0.0, 1.0))
 
@@ -58,16 +61,16 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
 
     ``label_override`` maps node id -> class id; those rows are replaced by
     one-hot vectors before estimation, both as sources and as neighbors. Used
-    to pin (pseudo-)labeled nodes to their known labels.
+    to pin (pseudo-)labeled nodes to their known labels. Every row of
+    ``soft_labels`` is checked, including those an override replaces.
     """
-    soft = np.array(soft_labels, dtype=np.float64, copy=True)
+    unit = _normalized_rows(soft_labels, graph.n)
     if label_override:
         nodes = _ids("override node", np.fromiter(label_override.keys(), dtype=np.int64), graph.n)
         labs = _ids("override label", np.fromiter(label_override.values(), dtype=np.int64),  # keys' order
-                    soft.shape[1])
-        soft[nodes] = 0.0
-        soft[nodes, labs] = 1.0
-    unit = _normalized_rows(soft)
+                    unit.shape[1])
+        unit[nodes] = 0.0
+        unit[nodes, labs] = 1.0  # a one-hot row is its own unit vector
     indptr, indices, degrees = graph.adj.indptr, graph.adj.indices, graph.degrees
     out = np.zeros(graph.n, dtype=np.float64)
     # Degree buckets keep the per-node gemv + pairwise mean bit-exact; edge-list reduceat/einsum round differently.

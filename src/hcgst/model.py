@@ -30,15 +30,25 @@ _ADAM_EPS = 1e-8
 _FD_STEP = 1e-5  # central-difference step of gradient_check
 
 
-@dataclass
 class ModelParams:
-    w1: np.ndarray        # (d, hidden)
-    w2: np.ndarray        # (hidden, hidden)
-    w_main: np.ndarray    # (hidden, c)
-    w_pseudo: np.ndarray  # (hidden, c)
+    """The weights as one float64 vector ``flat``, all zeros when new; w1 (d, hidden), w2 (hidden,
+    hidden), w_main and w_pseudo (hidden, c) are reshaped views of it, in that order."""
+
+    def __init__(self, d: int, hidden: int, c: int, flat=None):
+        o1 = d * hidden  # plain int offsets: the gradient builds one of these every epoch
+        o2 = o1 + hidden * hidden
+        o3 = o2 + hidden * c
+        self.flat = np.zeros(o3 + hidden * c) if flat is None else flat
+        self.w1 = self.flat[:o1].reshape(d, hidden)
+        self.w2 = self.flat[o1:o2].reshape(hidden, hidden)
+        self.w_main = self.flat[o2:o3].reshape(hidden, c)
+        self.w_pseudo = self.flat[o3:].reshape(hidden, c)
+
+    def __reduce__(self):  # an unpickled copy rebuilds its views on its own vector
+        return ModelParams, (*self.w1.shape, self.w_main.shape[1], self.flat)
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.w1.copy(), self.w2.copy(), self.w_main.copy(), self.w_pseudo.copy())
+        return ModelParams(*self.w1.shape, self.w_main.shape[1], self.flat.copy())
 
     def matrices(self):
         return {"w1": self.w1, "w2": self.w2, "w_main": self.w_main, "w_pseudo": self.w_pseudo}
@@ -103,13 +113,11 @@ def init_params(d: int, hidden: int, c: int, seed: int) -> ModelParams:
     if min(d, hidden, c) < 1:
         raise ValueError(f"all dimensions must be >= 1, got d={d} hidden={hidden} c={c}")
     rng = np.random.default_rng(seed)
-
-    def glorot(fan_in, fan_out):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-    return ModelParams(w1=glorot(d, hidden), w2=glorot(hidden, hidden),
-                       w_main=glorot(hidden, c), w_pseudo=glorot(hidden, c))
+    params = ModelParams(d, hidden, c)
+    for mat in params.matrices().values():  # w1, w2, w_main, w_pseudo: the order of the draws
+        limit = np.sqrt(6.0 / sum(mat.shape))  # fan in + fan out
+        mat[:] = rng.uniform(-limit, limit, size=mat.shape)
+    return params
 
 
 def _shifted_exp(logits_rows):
@@ -200,7 +208,8 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     Loss = CE_main + lambda_dual * CE_pseudo + (wd/2) * (|w1|^2 + |w2|^2 + |w_main|^2).
     Weight decay deliberately skips the pseudo head so that lambda_dual = 0
     leaves it untouched; without leftover rows the pseudo head is off and gets
-    a zero gradient. Returns (loss, grads dict, main logits of the rows R).
+    a zero gradient. Returns (loss, the gradient as a ``ModelParams``, main
+    logits of the rows R).
 
     W2 is folded into the heads, V = W2·[W_main | W_pseudo], so the second
     aggregation and its backward pass run 2c columns wide, not hidden wide:
@@ -232,25 +241,18 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     s = rows.a_rows_t @ dz  # (n, c or 2c): gradient of act1·V
     t = (s.T @ act1).T      # gradient of V; the same bits as act1ᵀ·S, faster
     d_heads = params.w2.T @ t
-    d_w2 = t @ heads.T + weight_decay * params.w2
+    grads = ModelParams(*params.w1.shape, c)  # the pseudo head's part stays 0 when it is off
+    grads.w2[:] = t @ heads.T + weight_decay * params.w2
+    grads.w_main[:] = d_heads[:, :c] + weight_decay * params.w_main
+    if pseudo_on:
+        grads.w_pseudo[:] = d_heads[:, c:]
     dact1 = rows.buffer("dact1", act1.shape)
     np.matmul(s, v.T, out=dact1)
     np.multiply(dact1, act1 > 0, out=dact1)  # ReLU backward, in place
-    d_w1 = rows.x1.T @ dact1 + weight_decay * params.w1
+    grads.w1[:] = rows.x1.T @ dact1 + weight_decay * params.w1
 
     loss += 0.5 * weight_decay * (np.sum(params.w1**2) + np.sum(params.w2**2) + np.sum(params.w_main**2))
-    grads = {"w1": d_w1, "w2": d_w2, "w_main": d_heads[:, :c] + weight_decay * params.w_main,
-             "w_pseudo": d_heads[:, c:] if pseudo_on else np.zeros_like(params.w_pseudo)}
     return loss, grads, zm
-
-
-def _flat_copy(params: ModelParams):
-    """A copy of ``params`` whose matrices are views into one flat vector, and that vector."""
-    mats = params.matrices().values()
-    flat = np.concatenate([m.ravel() for m in mats])
-    ends = np.cumsum([m.size for m in mats])
-    views = [part.reshape(m.shape) for part, m in zip(np.split(flat, ends[:-1]), mats)]
-    return ModelParams(*views), flat
 
 
 def _check_label_sets(name, nodes, labels, n, c):
@@ -290,9 +292,9 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     rows = TrainingRows(view, graph.features, np.concatenate([clean_idx, cons_idx]),
                         np.concatenate([clean_y, cons_y]), left_idx, left_y, val_idx)
 
-    cur, flat = _flat_copy(params)
-    state_m = np.zeros_like(flat)  # Adam is elementwise: one step moves all four matrices
-    state_v = np.zeros_like(flat)
+    cur = params.copy()
+    state_m = np.zeros_like(cur.flat)  # Adam is elementwise: one step moves all four matrices
+    state_v = np.zeros_like(cur.flat)
     best = None  # (acc, params copy)
 
     for epoch in range(cfg.epochs + 1):  # the last pass checks the final parameters, no step
@@ -306,12 +308,12 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
         if epoch == cfg.epochs:
             break
         t = epoch + 1
-        g = np.concatenate([grads[key].ravel() for key in cur.matrices()])
+        g = grads.flat
         state_m = _ADAM_B1 * state_m + (1 - _ADAM_B1) * g
         state_v = _ADAM_B2 * state_v + (1 - _ADAM_B2) * g * g
         m_hat = state_m / (1 - _ADAM_B1**t)
         v_hat = state_v / (1 - _ADAM_B2**t)
-        flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        cur.flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return cur if best is None else best[1]
 
 
@@ -332,17 +334,13 @@ def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dua
     def loss_at(p):
         return dual_loss_and_grads(p, rows, lambda_dual, cfg.weight_decay)[0]
 
-    worst = 0.0
-    for key, mat in params.matrices().items():
-        fd = np.zeros_like(mat)
-        for idx in np.ndindex(mat.shape):
-            probe = params.copy()
-            probe.matrices()[key][idx] = mat[idx] + _FD_STEP
-            up = loss_at(probe)
-            probe.matrices()[key][idx] = mat[idx] - _FD_STEP
-            down = loss_at(probe)
-            fd[idx] = (up - down) / (2 * _FD_STEP)
-        denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads[key])), 1e-8)
-        worst = max(worst, float(np.max(np.abs(fd - grads[key]) / denom)))
-    return worst
-
+    fd = np.zeros_like(params.flat)
+    probe = params.copy()
+    for i, value in enumerate(params.flat):
+        probe.flat[i] = value + _FD_STEP
+        up = loss_at(probe)
+        probe.flat[i] = value - _FD_STEP
+        fd[i] = (up - loss_at(probe)) / (2 * _FD_STEP)
+        probe.flat[i] = value
+    denom = np.maximum(np.maximum(np.abs(fd), np.abs(grads.flat)), 1e-8)
+    return float(np.max(np.abs(fd - grads.flat) / denom))

@@ -150,26 +150,6 @@ def bias_metrics(acc_st_bins, acc_backbone_bins):
     return tpv, npv, ppv
 
 
-@dataclass(frozen=True)
-class _Knobs:
-    optimized_selection: bool
-    lambda_s: float
-    delta_h: float
-    dual_head: bool
-    stages: int
-
-
-def _variant_knobs(cfg: RunConfig) -> _Knobs:
-    v = cfg.variant
-    return _Knobs(
-        optimized_selection=v in ("hcgst", "cmd_only", "no_multihop", "no_dualhead"),
-        lambda_s=0.0 if v == "cmd_only" else cfg.lambda_s,
-        delta_h=0.0 if v in ("st_confidence", "no_multihop") else cfg.delta_h,
-        dual_head=v in ("hcgst", "cmd_only", "no_selection", "no_multihop"),
-        stages=0 if v == "backbone_only" else cfg.stages,
-    )
-
-
 def _accuracy(predictions, truth, idx) -> float:
     idx = np.asarray(idx, dtype=np.int64)
     if idx.size == 0:
@@ -195,7 +175,12 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     for name in ("labeled", "validation", "unlabeled"):
         _ids(f"{name} node", getattr(partition, name), graph.n)
 
-    knobs = _variant_knobs(cfg)
+    v = cfg.variant
+    optimized_selection = v in ("hcgst", "cmd_only", "no_multihop", "no_dualhead")
+    lambda_s = 0.0 if v == "cmd_only" else cfg.lambda_s
+    delta_h = 0.0 if v in ("st_confidence", "no_multihop") else cfg.delta_h
+    dual_head = v in ("hcgst", "cmd_only", "no_selection", "no_multihop")
+    stages = 0 if v == "backbone_only" else cfg.stages
     y_true = graph.labels
     x = graph.features
     n_bins = cfg.n_bins
@@ -231,7 +216,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     patience = 0
     stage_reports = []
 
-    for s in range(1, knobs.stages + 1):
+    for s in range(1, stages + 1):
         soft = softmax_rows(logits)
         conf = soft.max(axis=1)
 
@@ -253,30 +238,30 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             target = target_distribution(global_est, local_est, k_stage)
 
             q = np.zeros(cands.size)  # a constant q ranks by confidence alone
-            if knobs.optimized_selection:
+            if optimized_selection:
                 problem = SelectionProblem(candidates=cands, cand_repr=logits[cands],
                                            global_repr=logits, cand_homophily=est_h[cands],
-                                           target=target, k=k_stage, lambda_s=knobs.lambda_s,
+                                           target=target, k=k_stage, lambda_s=lambda_s,
                                            n_bins=n_bins)
                 q = optimize_selection(problem).q
             selected = top_k(q, k_stage, cands, conf[cands])
             kl_picks = kl_divergence(bin_distribution(est_h[selected], n_bins), target)
 
-            if knobs.delta_h > 0:
+            if delta_h > 0:
                 if view_k is None:
                     view_k = k_hop_adjacency(graph, cfg.hop)
                 multi_logits = forward(params, view_k, x)
             else:
                 multi_logits = logits
             cand_labels, cand_multi_hop = assign_pseudo_labels(logits, multi_logits, est_h,
-                                                               knobs.delta_h, cands)
+                                                               delta_h, cands)
 
             picked = np.searchsorted(cands, selected)  # cands ascend
             new_labels, from_multi_hop = cand_labels[picked], cand_multi_hop[picked]
             pool, pool_y = np.concatenate([pool, selected]), np.concatenate([pool_y, new_labels])
 
             # the leftover candidates train the pseudo head; an empty pair switches it off
-            rest = np.delete(np.arange(cands.size), picked) if knobs.dual_head else picked[:0]
+            rest = np.delete(np.arange(cands.size), picked) if dual_head else picked[:0]
             params = train(s, (cands[rest], cand_labels[rest]))
             logits = forward(params, view1, x)  # also the next stage's selection pass
 
@@ -325,25 +310,21 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         acc_st=_accuracy(best_preds, y_true, partition.unlabeled),
     )
 
-    if stage_reports:  # the loop stops right after a report, so the last one holds the final pool
-        last = stage_reports[-1]
-        final = dict(final_kl_true=last.kl_local_global_true, final_kl_est=last.kl_local_global_est,
-                     pseudo_mean_est_h=last.pseudo_mean_est_h, global_mean_est_h=last.global_mean_est_h,
-                     pseudo_mean_true_h=last.pseudo_mean_true_h)
-    else:  # no stage: the pool is the labeled set, and no homophily was estimated
-        nan = float("nan")
-        pool_kl = kl_divergence(bin_distribution(true_profile[pool], n_bins), global_true)
-        final = dict(final_kl_true=float(pool_kl), final_kl_est=nan, pseudo_mean_est_h=nan,
-                     global_mean_est_h=nan, pseudo_mean_true_h=nan)
+    last = stage_reports[-1] if stage_reports else None  # it holds the final pool: the loop stops after one
+    nan = float("nan")
     return RunReport(
         variant=cfg.variant, seed=cfg.seed, config=asdict(cfg),
         stage_reports=stage_reports, best_stage=best_stage,
         val_acc=best_val, test_acc=bin_report.acc_st, bin_report=bin_report,
         final_pseudo_count=int(pool.size - n_labeled),
-        **final, global_mean_true_h=float(np.mean(true_profile)),
+        final_kl_true=float(kl_divergence(bin_distribution(true_profile[pool], n_bins), global_true)),
+        final_kl_est=last.kl_local_global_est if last else nan,
+        pseudo_mean_est_h=last.pseudo_mean_est_h if last else nan,
+        global_mean_est_h=last.global_mean_est_h if last else nan,
+        pseudo_mean_true_h=last.pseudo_mean_true_h if last else nan,
+        global_mean_true_h=float(np.mean(true_profile)),
         params=best_params,
     )
-
 
 def stage_csv_rows(reports):
     """Header and rows (one per stage of each report) for stages.csv: n_selected and the scalar

@@ -41,7 +41,9 @@ def test_pairs_alternate_and_count_wins(tmp_path, monkeypatch, capsys):
     assert summary["peak_rss_mb"]["change_wins"] == 2  # pair 1 ties
     assert summary["run_s"]["base"] == {"median": 3.05, "q1": pytest.approx(2.975),
                                         "q3": pytest.approx(3.125)}
-    assert "change wins 3/4" in capsys.readouterr().out
+    assert summary["run_s"]["ratio"] == {"median": pytest.approx(0.7169, abs=1e-4),
+                                         "min": pytest.approx(2 / 3), "max": pytest.approx(1.03125)}
+    assert "change wins 3/4  ratio 0.7169 [0.6667, 1.031]" in capsys.readouterr().out
 
 
 def test_failed_side_sets_exit_code(tmp_path, monkeypatch):

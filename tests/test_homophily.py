@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcgst.graph import build_graph, true_homophily_profile
+from hcgst.graph import build_graph, true_homophily_profile, true_node_homophily
 from hcgst.homophily import (bin_distribution, estimate_homophily_profile,
                              estimate_node_homophily, target_distribution)
+from hcgst.synth import SynthConfig, generate_graph
 
 
 def _graph(edges, n, labels=None, d=2):
@@ -66,6 +67,27 @@ def test_estimate_rejects_override_node_outside_the_graph(bad):
     g = _graph([(0, 1), (1, 2)], n=3)
     with pytest.raises(ValueError, match=f"override node {bad} outside"):
         estimate_homophily_profile(np.full((3, 2), 0.5), g, {bad: 0})
+
+
+@pytest.mark.parametrize("bad", [-1, 60])
+@pytest.mark.parametrize("oracle", ["estimated", "true"])
+def test_per_node_homophily_rejects_node_outside_the_graph(oracle, bad):
+    g = generate_graph(SynthConfig(n=60, seed=1))
+    with pytest.raises(ValueError, match=f"node {bad} outside"):
+        if oracle == "estimated":
+            estimate_node_homophily(np.full((60, g.c), 0.5), g, bad)
+        else:
+            true_node_homophily(g, bad)
+
+
+@pytest.mark.parametrize("rows", [55, 65])
+def test_estimators_reject_soft_labels_of_another_node_count(rows):
+    g = generate_graph(SynthConfig(n=60, seed=1))
+    soft = np.full((rows, g.c), 0.5)
+    with pytest.raises(ValueError, match=f"{rows} rows but the graph has 60 nodes"):
+        estimate_homophily_profile(soft, g, {58: 0})
+    with pytest.raises(ValueError, match=f"{rows} rows but the graph has 60 nodes"):
+        estimate_node_homophily(soft, g, 0)
 
 
 @pytest.mark.parametrize("seed", range(5))

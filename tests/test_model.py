@@ -1,3 +1,4 @@
+import pickle
 import re
 
 import numpy as np
@@ -39,6 +40,22 @@ def test_init_deterministic():
     b = init_params(5, 8, 3, seed=42)
     for key in a.matrices():
         assert np.array_equal(a.matrices()[key], b.matrices()[key])
+
+
+def test_params_are_views_of_one_vector_through_copy_and_pickle():
+    p = init_params(5, 8, 3, seed=0)
+    assert p.flat.shape == (5 * 8 + 8 * 8 + 2 * 8 * 3,)
+    p.flat[0] = 7.0
+    assert p.w1[0, 0] == 7.0
+    q = p.copy()
+    assert not any(np.shares_memory(a, b) for a in q.matrices().values() for b in p.matrices().values())
+    r = pickle.loads(pickle.dumps(p))
+    r.flat[-1] = 9.0
+    assert r.w_pseudo[-1, -1] == 9.0 and p.w_pseudo[-1, -1] != 9.0
+    for key, mat in p.matrices().items():
+        assert np.shares_memory(r.matrices()[key], r.flat)
+        if key != "w_pseudo":
+            assert np.array_equal(r.matrices()[key], mat), key
 
 
 def test_init_rejects_zero_width():
@@ -163,8 +180,8 @@ def test_lambda_zero_matches_single_head_gradients():
     _, single, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, main_idx, g.labels[main_idx],
                                                             EMPTY[0], EMPTY[1]), 0.0, 5e-4)
     for key in ("w1", "w2", "w_main"):
-        assert np.allclose(dual[key], single[key], atol=1e-15)
-    assert np.all(dual["w_pseudo"] == 0.0)
+        assert np.allclose(dual.matrices()[key], single.matrices()[key], atol=1e-15)
+    assert np.all(dual.w_pseudo == 0.0)
 
 
 def test_empty_leftover_reduces_to_main_term():
@@ -365,7 +382,7 @@ def test_row_restricted_loss_matches_full_graph_reference(problem, lam):
         params, view, g.features, main, y[main], left, y[left], lam, 5e-4)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     for key, ref in ref_grads.items():
-        assert np.max(np.abs(grads[key] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(grads.matrices()[key] - ref)) <= 1e-12 * np.max(np.abs(ref))
     for pos, idx in ((tr.main_pos, main), (tr.left_pos, left), (tr.val_pos, val)):
         assert np.max(np.abs(zm[pos] - ref_zm[idx]), initial=0.0) <= 1e-12 * np.max(np.abs(ref_zm))
 
@@ -421,7 +438,7 @@ def test_loss_and_grads_bit_identical_to_plain_version(problem, lam):
         assert loss == want_loss
         assert np.array_equal(zm, want_zm)
         for key, want in want_grads.items():
-            assert np.array_equal(grads[key], want), key
+            assert np.array_equal(grads.matrices()[key], want), key
 
 
 def _plain_train_dual(params, rows, val_y, cfg, lam):
@@ -491,8 +508,7 @@ def test_gradient_finite_at_zero_params():
     tr = TrainingRows(k_hop_adjacency(g, 1), g.features, np.array([0, 2]), np.array([0, 0]),
                       np.array([1]), np.array([1]))
     _, grads, _ = dual_loss_and_grads(params, tr, 0.09, 5e-4)
-    for g_mat in grads.values():
-        assert np.all(np.isfinite(g_mat))
+    assert np.all(np.isfinite(grads.flat))
 
 
 def _two_exp_cross_entropy(logits_rows, y):

@@ -7,10 +7,12 @@ Pair i runs ``perfbench/run.py --workload W --seed i`` once in each checkout,
 the base first in even pairs and the change first in odd ones, so a slow
 phase of the machine does not always fall on the same side. Each checkout
 runs its own perfbench and sources. Prints every pair's metric values, then
-per metric the medians and quartiles of both sides and how many pairs the
-change won: a win is a lower value, as for every end-to-end metric of
-BENCHMARK.json, and ties count for neither. Writes the same to ``--out``,
-adding to the workloads an existing file already holds.
+per metric the medians and quartiles of both sides, how many pairs the
+change won (a win is a lower value, as for every end-to-end metric of
+BENCHMARK.json, and ties count for neither) and, for a metric whose base
+values are all positive, the median, minimum and maximum of the per-pair
+ratio change/base. Writes the same to ``--out``, adding to the workloads an
+existing file already holds.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ def quartiles(values) -> tuple:
 
 
 def summarize(pairs) -> dict:
-    """Per metric present on both sides of every pair: quartiles of each side and the change's wins."""
+    """Per metric present on both sides of every pair: quartiles of each side, the change's wins
+    and, where every base value is positive, the median and range of the ratios change/base."""
     names = set.intersection(*(set(p[side]["metrics"]) for p in pairs for side in SIDES))
     out = {}
     for name in sorted(names):
@@ -61,6 +64,10 @@ def summarize(pairs) -> dict:
         for side in SIDES:
             q1, med, q3 = quartiles(values[side])
             entry[side] = {"median": med, "q1": q1, "q3": q3}
+        if all(b > 0 for b in values["base"]):
+            ratios = [c / b for b, c in zip(values["base"], values["change"])]
+            entry["ratio"] = {"median": statistics.median(ratios), "min": min(ratios),
+                              "max": max(ratios)}
         out[name] = entry
     return out
 
@@ -98,10 +105,11 @@ def main(argv=None) -> int:
     summary = summarize(pairs)
     print(f"{args.workload}: {args.pairs} pairs")
     for name, s in summary.items():
-        b, c = s["base"], s["change"]
+        b, c, r = s["base"], s["change"], s.get("ratio")
         print(f"  {name:26s} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
-              f"change wins {s['change_wins']}/{s['pairs']}")
+              f"change wins {s['change_wins']}/{s['pairs']}"
+              + (f"  ratio {r['median']:.4g} [{r['min']:.4g}, {r['max']:.4g}]" if r else ""))
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc.setdefault("host", {"machine": platform.machine(), "cpus": os.cpu_count(),
