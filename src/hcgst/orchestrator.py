@@ -190,7 +190,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     k_stage = cfg.k_per_stage if cfg.k_per_stage is not None else n_labeled
 
     view1 = k_hop_adjacency(graph, 1)
-    view_k = None
     have_val = partition.validation.size > 0
 
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -208,6 +207,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     logits = forward(params, view1, x)
     backbone_preds = np.argmax(logits, axis=1)
     val_acc = _accuracy(backbone_preds, y_true, partition.validation)
+    view_k = k_hop_adjacency(graph, cfg.hop) if delta_h > 0 and stages else None
 
     true_profile = true_homophily_profile(graph)
     global_true = bin_distribution(true_profile, n_bins)
@@ -247,12 +247,7 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
             selected = top_k(q, k_stage, cands, conf[cands])
             kl_picks = kl_divergence(bin_distribution(est_h[selected], n_bins), target)
 
-            if delta_h > 0:
-                if view_k is None:
-                    view_k = k_hop_adjacency(graph, cfg.hop)
-                multi_logits = forward(params, view_k, x)
-            else:
-                multi_logits = logits
+            multi_logits = forward(params, view_k, x) if view_k is not None else logits
             cand_labels, cand_multi_hop = assign_pseudo_labels(logits, multi_logits, est_h,
                                                                delta_h, cands)
 

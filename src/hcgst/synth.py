@@ -175,17 +175,16 @@ def sample_training_set(graph: Graph, label_rate: float, mode: str, n_bins: int,
     for b in range(n_bins):
         perm = rng.permutation(bins[b])
         chosen.extend(perm[:targets[b]].tolist())
-        remaining.append(list(perm[targets[b]:]))
+        remaining.append(perm[targets[b]:])
 
-    for b in np.flatnonzero(targets > sizes).tolist():  # each exhausted bin borrows from its nearest neighbors
-        lenders = []
-        for _ in range(int(targets[b] - sizes[b])):
-            for off in range(1, n_bins):
-                fallback = next((j for j in (b - off, b + off) if 0 <= j < n_bins and remaining[j]), None)
-                if fallback is not None:
-                    chosen.append(remaining[fallback].pop(0))
-                    lenders.append(fallback)
-                    break
+    for b in np.flatnonzero(targets > sizes).tolist():  # each exhausted bin borrows from its nearest bins
+        need, lenders = int(targets[b] - sizes[b]), []
+        for j in sorted(range(n_bins), key=lambda j: (abs(j - b), j)):  # nearer first, lower on ties
+            if need and remaining[j].size:
+                take, remaining[j] = remaining[j][:need], remaining[j][need:]
+                chosen.extend(take.tolist())
+                need -= take.size
+                lenders.append(j)
         logger.warning("bin %d exhausted: wanted %d nodes, found %d, borrowed from bins %s",
-                       b, targets[b], bins[b].size, sorted(set(lenders)))
+                       b, targets[b], bins[b].size, sorted(lenders))
     return np.array(sorted(chosen), dtype=np.int64)

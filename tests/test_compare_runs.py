@@ -2,6 +2,8 @@ import importlib.util
 import shutil
 from pathlib import Path
 
+import pytest
+
 _ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("compare_runs", _ROOT / "tools" / "compare_runs.py")
 compare_runs = importlib.util.module_from_spec(_spec)
@@ -50,3 +52,31 @@ def test_changed_step_size_reads_different_picks(tmp_path, capsys):
                               "--stages", "1", "--work", str(tmp_path / "differ")]) == 1
     out = capsys.readouterr().out
     assert "seed 0: differs in run JSON" in out and "stage 1 picks:" in out
+
+
+@pytest.mark.parametrize("module, old, new, anchor, imported", [
+    ("orchestrator.py", "selected = top_k(", "selected = selection.top_k(",
+     "from .selection import", "from . import selection\n"),
+    ("cli.py", "return run_self_training(", "return orchestrator.run_self_training(",
+     "from .graph import", "from . import orchestrator\n"),
+], ids=["orchestrator_calls_selection_top_k", "cli_calls_orchestrator_run"])
+def test_refactor_through_the_module_reads_identical(tmp_path, capsys, module, old, new, anchor, imported):
+    # the picks come from the run JSON, so how the library calls its own functions cannot matter
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    source = change / "src" / "hcgst" / module
+    text = source.read_text()
+    assert old in text and anchor in text
+    source.write_text(text.replace(old, new).replace(anchor, imported + anchor, 1))
+    assert compare_runs.main([str(base), str(change), "--n", "500", "--fixture", "--seeds", "0",
+                              "--stages", "1", "--work", str(tmp_path / "refactor")]) == 0
+    out = capsys.readouterr().out
+    assert "seed 0: byte-identical" in out and "picks" not in out
+
+
+def test_empty_variant_entry_is_a_usage_error(tmp_path, capsys):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    with pytest.raises(SystemExit) as exit_info:
+        compare_runs.main([str(base), str(change), "--variant", "hcgst,", "--work", str(tmp_path / "w")])
+    assert exit_info.value.code == 2
+    assert "--variant 'hcgst,' has an empty entry" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()

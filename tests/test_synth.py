@@ -103,6 +103,11 @@ def test_sample_fallback_takes_every_node_of_an_exhausted_bin_and_logs_it_once(c
     warned = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warned) <= 10
     assert sorted(int(m.split()[1]) for m in warned) == exhausted.tolist()
+    # bins 1-3 hold one node each and bin 0 none: each borrows from the nearest bin with
+    # nodes left, so bin 1 passes over bins 0, 2 and 3 to reach bin 4
+    assert exhausted.tolist() == [1, 2, 3]
+    assert all(m.endswith("borrowed from bins [4]") for m in warned)
+    assert nodes.tolist() == [4, 9, 71, 85, 90, 163, 234, 308, 366, 411]
 
 
 def test_sample_returns_exact_budget_of_distinct_nodes():

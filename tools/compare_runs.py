@@ -4,20 +4,21 @@
     python3 tools/compare_runs.py BASE CHANGE --n 5000 --seeds 0-4 [--stages 2] [--fixture]
                                   [--variant hcgst,backbone_only]
 
-For each seed s, the base checkout writes a graph with graph seed 7 + s: by
-``hcgst generate --n N``, or with ``--fixture`` by the settings of the
-acceptance-test fixture (``--n 500 --fixture`` is that fixture). Each checkout
-then runs ``hcgst run --variant LIST --bias-mode heterophily_biased
---stages S --seed s`` on it with its own sources (``--variant``, default
-``hcgst``), recording each variant's picks of every ``top_k`` call. Per seed
-it prints whether the outputs are byte-identical (each variant's run JSON
-without ``generated_at``, ``stages.csv``, ``bins.csv`` and
+Each checkout is a black box: its ``hcgst`` command line runs in a fresh
+interpreter with the checkout's ``src`` first on the path. For each seed s,
+the base checkout writes a graph with graph seed 7 + s: by ``hcgst generate
+--n N``, or with ``--fixture`` by the settings of the acceptance-test fixture
+(``--n 500 --fixture`` is that fixture). Each checkout then runs ``hcgst run
+--variant LIST --bias-mode heterophily_biased --stages S --seed s`` on it
+(``--variant``, default ``hcgst``). Per seed it prints whether the outputs are byte-identical (each
+variant's run JSON without ``generated_at``, ``stages.csv``, ``bins.csv`` and
 ``aggregate.csv``), per variant ``test_acc``, ``final_kl_true`` and
-``best_stage`` of both sides, and per stage the picks only one side made.
-Before the seeds it prints ``help: identical`` or ``help: differs`` for the
-``hcgst run --help`` and ``hcgst sweep --help`` texts of the two checkouts,
-and each checkout's line count of ``src/hcgst/*.py`` (as ``wc -l`` counts).
-Exits 0 when the help texts and every seed are byte-identical, 1 otherwise.
+``best_stage`` of both sides, and per stage the picks only one side made, as
+the run JSON's ``stages[].selected`` lists them. Before the seeds it prints
+``help: identical`` or ``help: differs`` for the ``hcgst run --help`` and
+``hcgst sweep --help`` texts of the two checkouts, and each checkout's line
+count of ``src/hcgst/*.py`` (as ``wc -l`` counts). Exits 0 when the help
+texts and every seed are byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -32,45 +33,19 @@ from pathlib import Path
 OUTPUTS = ("stages.csv", "bins.csv", "aggregate.csv")
 SIDES = ("base", "change")
 
-# Run in a fresh interpreter with one checkout's sources first on the path:
-#   python -c CHILD SRC graph N SEED FIXTURE OUT   writes a graph directory
-#   python -c CHILD SRC help COMMAND               prints `hcgst COMMAND --help`
-#   python -c CHILD SRC run PICKS ARGS...          runs `hcgst run ARGS`, top_k's picks per variant to PICKS
-CHILD = r"""
-import json, sys
-src, mode, *rest = sys.argv[1:]
-sys.path.insert(0, src)
-from hcgst import cli, graph, orchestrator, synth
-if mode == "help":
-    cli.main([*rest, "--help"])
-if mode == "graph":
-    n, seed, fixture, out = rest
-    if fixture == "0":
-        sys.exit(cli.main(["generate", "--n", n, "--seed", seed, "--out", out]))
-    cfg = synth.SynthConfig(n=int(n), classes=4, feature_dim=16, mean_degree=8,
-                            target_histogram=[2, 2, 1.5, 1.5, 1, 1, 0.7, 0.7, 0.5, 0.5],
-                            separation=1.2, cross_structure=0.85, seed=int(seed))
-    graph.save_graph_dir(synth.generate_graph(cfg), out)
-    sys.exit(0)
-picks_path, *argv = rest
-picks, top_k, run = {}, orchestrator.top_k, cli.run_self_training
-
-def recording_run(graph, partition, cfg):
-    picks[cfg.variant] = []
-    return run(graph, partition, cfg)
-
-def recording_top_k(*args, **kwargs):
-    chosen = top_k(*args, **kwargs)
-    picks[next(reversed(picks))].append(chosen.tolist())
-    return chosen
-
-cli.run_self_training = recording_run
-orchestrator.top_k = recording_top_k
-code = cli.main(["run", *argv])
-if code == 0:
-    with open(picks_path, "w") as f:
-        json.dump(picks, f)
-sys.exit(code)
+# Each snippet puts a checkout's SRC first on the path (`python -m` with PYTHONPATH
+# would put the working directory ahead of it).
+#   python -c CLI SRC ARGS...          runs `hcgst ARGS`
+#   python -c FIXTURE SRC N SEED OUT   writes the fixture graph; no `generate` flag sets
+#                                      its cross_structure
+SRC_FIRST = "import sys; sys.path.insert(0, sys.argv.pop(1))\n"
+CLI = SRC_FIRST + "from hcgst import cli; sys.exit(cli.main(sys.argv[1:]))"
+FIXTURE = SRC_FIRST + r"""from hcgst import graph, synth
+n, seed, out = sys.argv[1:]
+cfg = synth.SynthConfig(n=int(n), classes=4, feature_dim=16, mean_degree=8,
+                        target_histogram=[2, 2, 1.5, 1.5, 1, 1, 0.7, 0.7, 0.5, 0.5],
+                        separation=1.2, cross_structure=0.85, seed=int(seed))
+graph.save_graph_dir(synth.generate_graph(cfg), out)
 """
 
 
@@ -83,12 +58,13 @@ def parse_seeds(text: str) -> list:
     return seeds
 
 
-def _child(checkout: Path, *args) -> str:
-    """The child's stdout."""
-    cmd = [sys.executable, "-c", CHILD, str(checkout / "src"), *map(str, args)]
+def _child(checkout: Path, code: str, *args) -> str:
+    """The stdout of snippet ``code`` run on the checkout's sources with ``args``."""
+    cmd = [sys.executable, "-c", code, str(checkout / "src"), *map(str, args)]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {args[0]} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
+        raise RuntimeError(f"{checkout}: {' '.join(cmd[3:])} exited {proc.returncode}:\n"
+                           f"{proc.stderr[-2000:]}")
     return proc.stdout
 
 
@@ -99,9 +75,8 @@ def source_lines(checkout: Path) -> int:
 
 def run_side(checkout: Path, graph: Path, seed: int, stages: int, variants: list, out: Path) -> dict:
     """One ``hcgst run`` of ``variants``; its comparable output texts, and per
-    variant its run report and picks per stage."""
-    picks = out.with_name(out.name + "-picks.json")
-    _child(checkout, "run", picks, "--graph", graph, "--out", out, "--variant", ",".join(variants),
+    variant its run report."""
+    _child(checkout, CLI, "run", "--graph", graph, "--out", out, "--variant", ",".join(variants),
            "--bias-mode", "heterophily_biased", "--stages", stages, "--seed", seed)
     reports, texts = {}, {}
     for variant in variants:
@@ -109,7 +84,7 @@ def run_side(checkout: Path, graph: Path, seed: int, stages: int, variants: list
         report.pop("generated_at")
         texts[f"run JSON {variant}"] = json.dumps(report, indent=2, sort_keys=True)
     texts.update({name: (out / name).read_text() for name in OUTPUTS})
-    return {"texts": texts, "reports": reports, "picks": json.loads(picks.read_text())}
+    return {"texts": texts, "reports": reports}
 
 
 def pick_lines(base_picks, change_picks) -> list:
@@ -142,22 +117,28 @@ def main(argv=None) -> int:
                         help="comma list of variants to run and compare (default hcgst)")
     parser.add_argument("--work", type=Path, help="directory for graphs and outputs (default: temporary)")
     args = parser.parse_args(argv)
+    variants = [v.strip() for v in args.variant.split(",")]
+    if "" in variants:
+        parser.error(f"--variant {args.variant!r} has an empty entry")
     for checkout in (args.base, args.change):
         if not (checkout / "src" / "hcgst").is_dir():
             parser.error(f"{checkout} has no src/hcgst")
 
     checkouts = (args.base, args.change)
-    helps = [[_child(checkout, "help", command) for command in ("run", "sweep")] for checkout in checkouts]
+    helps = [[_child(checkout, CLI, command, "--help") for command in ("run", "sweep")]
+             for checkout in checkouts]
     identical_all = helps[0] == helps[1]
     print("help: " + ("identical" if identical_all else "differs"))
     print("src/hcgst lines: " + "  ".join(f"{side} {source_lines(checkout)}"
                                           for side, checkout in zip(SIDES, checkouts)), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        variants = [v.strip() for v in args.variant.split(",")]
         for seed in parse_seeds(args.seeds):
             graph = work / f"graph-{seed}"
-            _child(args.base, "graph", args.n, 7 + seed, int(args.fixture), graph)
+            if args.fixture:
+                _child(args.base, FIXTURE, args.n, 7 + seed, graph)
+            else:
+                _child(args.base, CLI, "generate", "--n", args.n, "--seed", 7 + seed, "--out", graph)
             sides = {side: run_side(checkout, graph, seed, args.stages, variants, work / f"{side}-{seed}")
                      for side, checkout in zip(SIDES, checkouts)}
             differ = [name for name in sides["base"]["texts"]
@@ -166,10 +147,10 @@ def main(argv=None) -> int:
             print(f"seed {seed}: " + ("byte-identical" if not differ
                                       else "differs in " + ", ".join(differ)), flush=True)
             for variant in variants:
+                reports = [sides[side]["reports"][variant] for side in SIDES]
                 for key in ("test_acc", "final_kl_true", "best_stage"):
-                    b, c = (sides[side]["reports"][variant][key] for side in SIDES)
-                    print(f"  {variant} {key:13s} base {b:.6g}  change {c:.6g}")
-                for line in pick_lines(*(sides[side]["picks"][variant] for side in SIDES)):
+                    print(f"  {variant} {key:13s} base {reports[0][key]:.6g}  change {reports[1][key]:.6g}")
+                for line in pick_lines(*([s["selected"] for s in r["stages"]] for r in reports)):
                     print(f"  {variant} {line}")
     return 0 if identical_all else 1
 
