@@ -72,7 +72,8 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     pairs = pairs[keep]
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    edges = np.stack(divmod(np.unique(lo * n + hi), n), axis=1)  # one sort key per pair, lo-major
+    key = np.sort(lo * n + hi)  # one sort key per pair, lo-major
+    edges = np.stack(divmod(key[np.diff(key, prepend=-1) != 0], n), axis=1)
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
@@ -86,64 +87,70 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     else:
         c = int(n_classes) if n_classes is not None else 0
 
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    order = np.lexsort((dst, src))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    adj = sp.csr_matrix((np.ones(src.size), dst[order], indptr), shape=(n, n))
+    # COO -> CSR is a stable counting sort by row: each row gets its lower
+    # neighbours, then its upper ones, each run ascending.
+    rows = np.concatenate([edges[:, 1], edges[:, 0]])
+    cols = np.concatenate([edges[:, 0], edges[:, 1]])
+    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
     return Graph(n=n, edges=edges, features=features, labels=labels, c=c, d=d, adj=adj)
 
 
 @dataclass(frozen=True)
 class AdjacencyView:
-    """Neighbor structure at a fixed hop count.
+    """Neighbor structure at a fixed hop count, held as one matrix.
 
-    ``adj`` is the raw 0/1 structure (no self-connections, sorted indices)
-    that ``binary_matrix()`` returns; homophily is computed from
-    ``Graph.adj``, not from a view. ``norm`` is the
-    symmetric-degree-normalized matrix with self-loops added, used for
-    message passing.
+    ``norm`` is the symmetric-degree-normalized matrix with self-loops added,
+    used for message passing. ``binary_matrix()`` derives the raw 0/1
+    structure from it: ``norm``'s pattern without the diagonal, with sorted
+    indices. Homophily is computed from ``Graph.adj``, not from a view.
     """
 
     n: int
-    adj: sp.csr_matrix = field(repr=False)
     norm: sp.csr_matrix = field(repr=False)
 
     def binary_matrix(self) -> sp.csr_matrix:
-        return self.adj
+        b = self.norm.astype(bool)  # copies the index arrays that eliminate_zeros and sort_indices edit
+        b.setdiag(False)
+        b.eliminate_zeros()
+        b.sort_indices()
+        return b.astype(np.float64)
+
+
+KHOP_ENTRY_LIMIT = 3e7  # largest entry bound built: a 5k-node hop-4 view (1.1e7 entries) peaks near 650 MB
 
 
 def _sym_normalize(binary: sp.csr_matrix) -> sp.csr_matrix:
-    # A_hat = D^{-1/2} (B + I) D^{-1/2} with D the degree of B + I
+    # A_hat = D^{-1/2} (B + I) D^{-1/2}, D the degree of B + I; scaled in place as (d_i * b_ij) * d_j
     with_loops = (binary + sp.identity(binary.shape[0], format="csr")).tocsr()
-    deg = np.asarray(with_loops.sum(axis=1)).ravel()
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    d_mat = sp.diags(inv_sqrt)
-    return (d_mat @ with_loops @ d_mat).tocsr()
+    counts = np.diff(with_loops.indptr)
+    inv_sqrt = 1.0 / np.sqrt(counts)
+    with_loops.data *= np.repeat(inv_sqrt, counts)
+    with_loops.data *= inv_sqrt[with_loops.indices]
+    return with_loops
 
 
 def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
     """Binarized k-th adjacency power with zeroed diagonal.
 
-    k=1 returns the graph's own adjacency (``graph.adj``).
+    k=1 normalizes ``graph.adj``. ValueError if Σᵢ min(n − 1, (A^{k−1}·deg)ᵢ) > ``KHOP_ENTRY_LIMIT``.
     """
     if k < 1:
         raise ValueError(f"hop count must be >= 1, got {k}")
     power = graph.adj
     if k > 1:
+        walks = graph.degrees.astype(np.float64)
+        for _ in range(k - 1):
+            walks = graph.adj @ walks
+        bound = np.minimum(walks, graph.n - 1).sum()
+        if bound > KHOP_ENTRY_LIMIT:
+            raise ValueError(f"hop {k} view may hold {bound:.3g} entries, over the limit of {KHOP_ENTRY_LIMIT:.3g}")
         for _ in range(k - 1):
             power = power @ graph.adj
         power = power.tocsr()
         power.setdiag(0)
         power.eliminate_zeros()
         power.data = np.ones_like(power.data)
-
-    # Normalise before sorting: the stored index order of ``norm`` sets the
-    # summation order of every product with it.
-    norm = _sym_normalize(power)
-    power.sort_indices()
-    return AdjacencyView(n=graph.n, adj=power, norm=norm)
+    return AdjacencyView(n=graph.n, norm=_sym_normalize(power))
 
 
 def true_node_homophily(graph: Graph, node: int) -> float:

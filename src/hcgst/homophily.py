@@ -74,7 +74,7 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
     indptr, indices, degrees = graph.adj.indptr, graph.adj.indices, graph.degrees
     out = np.zeros(graph.n, dtype=np.float64)
     # Degree buckets keep the per-node gemv + pairwise mean bit-exact; edge-list reduceat/einsum round differently.
-    for d in np.unique(degrees[degrees > 0]):
+    for d in np.flatnonzero(np.bincount(degrees)[1:]) + 1:
         nodes = np.flatnonzero(degrees == d)
         nbrs = indices[indptr[nodes][:, None] + np.arange(d)]
         sims = np.matmul(unit[nbrs], unit[nodes][:, :, None])[..., 0]

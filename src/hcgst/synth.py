@@ -152,6 +152,8 @@ def sample_training_set(graph: Graph, label_rate: float, mode: str, n_bins: int,
         raise ValueError("training-set sampling needs ground-truth labels")
     if graph.n == 0:
         raise ValueError("empty graph")
+    if not 0 < label_rate < 1:
+        raise ValueError(f"label_rate must lie in (0, 1), got {label_rate}")
     budget = int(np.floor(label_rate * graph.n))
     if budget < graph.c:
         raise ValueError(f"label budget {budget} below class count {graph.c}")

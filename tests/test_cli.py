@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hcgst import cli
+from hcgst import graph as graph_module
 from hcgst.cli import SWEEP_GRIDS, build_parser, main
 from hcgst.orchestrator import RunConfig
 from hcgst.synth import SynthConfig
@@ -208,6 +209,15 @@ def test_run_diverging_training_is_runtime_failure(tmp_path, capsys, epochs):
                      "--stages", "1", "--epochs", str(epochs), "--learning-rate", "1e200"])
     assert code == 3
     assert "training diverged at stage 0" in capsys.readouterr().err
+
+
+def test_run_over_the_k_hop_limit_is_config_error(tmp_path, capsys, monkeypatch):
+    graph = _generate(tmp_path)
+    monkeypatch.setattr(graph_module, "KHOP_ENTRY_LIMIT", 100)
+    assert main(["run", "--graph", str(graph), "--out", str(tmp_path / "x"), "--variant", "hcgst",
+                 "--hop", "3", *RUN_ARGS]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: hop 3 view may hold ") and "over the limit of 100" in err
 
 
 @pytest.mark.parametrize("command, bad, message", [

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcgst import graph as graph_module
 from hcgst.graph import (build_graph, graph_homophily, k_hop_adjacency, load_graph_dir,
                          make_partition, save_graph_dir, true_homophily_profile,
                          true_node_homophily)
@@ -63,6 +64,15 @@ def _reference_edges(pairs):
     return np.unique(np.stack([lo, hi], axis=1), axis=0) if p.size else np.empty((0, 2), dtype=np.int64)
 
 
+def _lexsort_csr(n, edges):
+    # the lexsort-ordered CSR arrays the COO -> CSR build replaced
+    src = np.concatenate([edges[:, 0], edges[:, 1]])
+    dst = np.concatenate([edges[:, 1], edges[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((np.ones(src.size), dst[np.lexsort((dst, src))], indptr), shape=(n, n))
+
+
 @st.composite
 def _edge_lists(draw):
     n = draw(st.integers(0, 12))
@@ -82,7 +92,9 @@ def test_neighbor_lists_match_append_loop(case):
     assert g.edges.dtype == want_edges.dtype and g.edges.flags.c_contiguous
     assert np.array_equal(g.edges, want_edges)
     ref = _reference_neighbor_lists(n, g.edges.tolist())
-    assert g.adj.shape == (n, n)
+    assert g.adj.shape == (n, n) and g.adj.has_sorted_indices
+    want_adj = _lexsort_csr(n, g.edges)
+    assert g.adj.indices.dtype == want_adj.indices.dtype and g.adj.indptr.dtype == want_adj.indptr.dtype
     for v, want in enumerate(ref):
         assert np.array_equal(_row(g.adj, v), want)
     assert g.degrees.dtype == np.int64
@@ -93,9 +105,9 @@ def test_neighbor_lists_match_append_loop(case):
     two_hop = (adj @ adj > 0) & ~np.eye(n, dtype=bool)
     for k, dense in ((1, adj), (2, two_hop)):
         view = k_hop_adjacency(g, k)
-        assert view.adj.shape == (n, n)
+        assert view.binary_matrix().shape == (n, n)
         for v in range(n):
-            assert _row(view.adj, v).tolist() == np.nonzero(dense[v])[0].tolist()
+            assert _row(view.binary_matrix(), v).tolist() == np.nonzero(dense[v])[0].tolist()
 
 
 def test_build_rejects_bad_endpoint_with_index():
@@ -119,13 +131,41 @@ def test_k_hop_rejects_zero():
         k_hop_adjacency(g, 0)
 
 
+def test_k_hop_bound_over_limit_raises(monkeypatch):
+    # path 0-1-2-3: A·deg = [2, 3, 3, 2] walks of length 2 -> bound 10, against 4 two-hop entries
+    g = _graph([(0, 1), (1, 2), (2, 3)], n=4)
+    monkeypatch.setattr(graph_module, "KHOP_ENTRY_LIMIT", 10)
+    assert k_hop_adjacency(g, 2).binary_matrix().nnz == 4
+    monkeypatch.setattr(graph_module, "KHOP_ENTRY_LIMIT", 9)
+    assert k_hop_adjacency(g, 1).norm.nnz == 10  # the one-hop view is never bounded
+    with pytest.raises(ValueError, match=r"hop 2 view may hold 10 entries, over the limit of 9"):
+        k_hop_adjacency(g, 2)
+    # A²·deg = [3, 5, 5, 3], each row capped at n - 1 = 3
+    with pytest.raises(ValueError, match=r"hop 3 view may hold 12 entries"):
+        k_hop_adjacency(g, 3)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_binary_matrix_is_sorted_without_diagonal_and_leaves_norm_alone(k):
+    rng = np.random.default_rng(10 + k)
+    g = _graph(rng.integers(0, 40, size=(90, 2)), n=40)
+    view = k_hop_adjacency(g, k)
+    before = [getattr(view.norm, a).copy() for a in ("indptr", "indices", "data")]
+    b = view.binary_matrix()
+    assert b.has_sorted_indices and b.data.dtype == np.float64 and np.all(b.data == 1.0)
+    assert np.all(b.diagonal() == 0) and b.nnz == view.norm.nnz - g.n
+    for a, want in zip(("indptr", "indices", "data"), before):
+        assert np.array_equal(getattr(view.norm, a), want)
+    assert np.array_equal((b + sp.identity(g.n)).toarray() != 0, view.norm.toarray() != 0)
+
+
 def test_two_hop_on_path():
     # A^2 on 0-1-2 has nonzeros only at (0,2),(2,0) plus the removed diagonal
     g = _graph([(0, 1), (1, 2)], n=3)
     view = k_hop_adjacency(g, 2)
-    assert _row(view.adj, 0).tolist() == [2]
-    assert _row(view.adj, 1).tolist() == []
-    assert _row(view.adj, 2).tolist() == [0]
+    assert _row(view.binary_matrix(), 0).tolist() == [2]
+    assert _row(view.binary_matrix(), 1).tolist() == []
+    assert _row(view.binary_matrix(), 2).tolist() == [0]
 
 
 def test_one_hop_equals_raw_adjacency():
@@ -134,14 +174,14 @@ def test_one_hop_equals_raw_adjacency():
     g = _graph(edges, n=12)
     view = k_hop_adjacency(g, 1)
     for v in range(12):
-        assert _row(view.adj, v).tolist() == _row(g.adj, v).tolist()
+        assert _row(view.binary_matrix(), v).tolist() == _row(g.adj, v).tolist()
 
 
 def test_two_hop_on_triangle_connects_everything():
     g = _graph([(0, 1), (1, 2), (0, 2)], n=3)
     view = k_hop_adjacency(g, 2)
     for v in range(3):
-        assert _row(view.adj, v).tolist() == sorted(set(range(3)) - {v})
+        assert _row(view.binary_matrix(), v).tolist() == sorted(set(range(3)) - {v})
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

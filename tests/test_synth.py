@@ -130,6 +130,14 @@ def test_sample_rejects_budget_below_class_count():
         sample_training_set(g, 0.001, "representative", 10, seed=0)
 
 
+@pytest.mark.parametrize("rate", [0.0, 1.0, 1.5])
+def test_sample_rejects_label_rate_outside_open_unit_interval(rate):
+    # 1.5 used to return all 60 nodes against a budget of 90; 1.0 left no test set
+    g = generate_graph(SynthConfig(n=60, seed=1))
+    with pytest.raises(ValueError, match=r"label_rate must lie in \(0, 1\), got " + str(rate)):
+        sample_training_set(g, rate, "representative", 10, seed=0)
+
+
 def test_homophily_biased_stays_in_top_bins():
     g = _broad_graph()
     prof = true_homophily_profile(g)
