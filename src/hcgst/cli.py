@@ -16,12 +16,13 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .graph import graph_homophily, load_graph_dir, make_partition, save_graph_dir
 from .model import TrainConfig
-from .orchestrator import RunConfig, VARIANTS, bin_csv_rows, run_self_training, stage_csv_rows
+from .orchestrator import RunConfig, StageReport, VARIANTS, run_self_training
 from .synth import BIAS_MODES, SynthConfig, generate_graph, sample_training_set
 
 SWEEP_GRIDS = {
@@ -49,6 +50,10 @@ _RUN_DEFAULTS = {
     "jobs": 1, "graph": None, "out": None,
 }
 _NONE_DEFAULT_TYPES = {"k": int, "graph": str, "out": str}
+# `generate` flags: every SynthConfig field but cross_structure; an array field takes a comma list
+_GENERATE_FIELDS = tuple(f.name for f in dataclasses.fields(SynthConfig) if f.name != "cross_structure")
+_STAGE_COLUMNS = [name for name, hint in get_type_hints(StageReport).items()  # stages.csv scalars
+                  if hint is not list and name != "stage"]
 
 
 def _check_config_value(key: str, value):
@@ -70,30 +75,25 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--variant", help=f"comma list from {','.join(VARIANTS)} (default {d['variant']})")
     p.add_argument("--repeat", type=int, help=f"number of seeds per variant (default {d['repeat']})")
     p.add_argument("--seed", type=int, help=f"base seed (default {d['seed']})")
-    p.add_argument("--label-rate", type=float, dest="label_rate",
-                   help=f"labeled fraction (default {d['label_rate']})")
-    p.add_argument("--bias-mode", dest="bias_mode", choices=BIAS_MODES,
+    p.add_argument("--label-rate", type=float, help=f"labeled fraction (default {d['label_rate']})")
+    p.add_argument("--bias-mode", choices=BIAS_MODES,
                    help=f"training-set bias mode (default {d['bias_mode']})")
-    p.add_argument("--val-fraction", type=float, dest="val_fraction",
+    p.add_argument("--val-fraction", type=float,
                    help=f"validation fraction (default {d['val_fraction']})")
     p.add_argument("--stages", type=int, help=f"max self-training stages (default {d['stages']})")
     p.add_argument("--k", type=int, help="pseudo-nodes per stage (default: labeled-set size)")
-    p.add_argument("--delta-c", type=float, dest="delta_c",
-                   help=f"confidence threshold (default {d['delta_c']})")
-    p.add_argument("--delta-h", type=float, dest="delta_h",
-                   help=f"heterophily threshold (default {d['delta_h']})")
-    p.add_argument("--lambda-s", type=float, dest="lambda_s",
+    p.add_argument("--delta-c", type=float, help=f"confidence threshold (default {d['delta_c']})")
+    p.add_argument("--delta-h", type=float, help=f"heterophily threshold (default {d['delta_h']})")
+    p.add_argument("--lambda-s", type=float,
                    help=f"homophily-consistency weight (default {d['lambda_s']})")
-    p.add_argument("--lambda-d", type=float, dest="lambda_d",
+    p.add_argument("--lambda-d", type=float,
                    help=f"pseudo-head loss weight (default {d['lambda_d']})")
-    p.add_argument("--n-bins", type=int, dest="n_bins", help=f"homophily bins (default {d['n_bins']})")
+    p.add_argument("--n-bins", type=int, help=f"homophily bins (default {d['n_bins']})")
     p.add_argument("--hop", type=int, help=f"multi-hop order (default {d['hop']})")
     p.add_argument("--hidden", type=int, help=f"model width (default {d['hidden']})")
     p.add_argument("--epochs", type=int, help=f"training epochs per stage (default {d['epochs']})")
-    p.add_argument("--learning-rate", type=float, dest="learning_rate",
-                   help=f"Adam step (default {d['learning_rate']})")
-    p.add_argument("--weight-decay", type=float, dest="weight_decay",
-                   help=f"L2 strength (default {d['weight_decay']})")
+    p.add_argument("--learning-rate", type=float, help=f"Adam step (default {d['learning_rate']})")
+    p.add_argument("--weight-decay", type=float, help=f"L2 strength (default {d['weight_decay']})")
     p.add_argument("--jobs", type=int,
                    help=f"runs in parallel, one core each (default {d['jobs']})")
 
@@ -237,22 +237,26 @@ def _write_run_outputs(out_dir: Path, reports) -> None:
     header, rows = _aggregate_rows(dicts)
     _write_csv(out_dir / "aggregate.csv", header, rows)
 
-    _write_csv(out_dir / "stages.csv", *stage_csv_rows(reports))
-    _write_csv(out_dir / "bins.csv", *bin_csv_rows(reports))
+    _write_csv(out_dir / "stages.csv", ["variant", "seed", "stage", "n_selected", *_STAGE_COLUMNS],
+               [[d["variant"], d["seed"], stage["stage"], len(stage["selected"]),
+                 *(stage[key] for key in _STAGE_COLUMNS)] for d in dicts for stage in d["stages"]])
+    _write_csv(out_dir / "bins.csv",
+               ["variant", "seed", "bin", "acc_backbone", "acc_self_trained", "delta"],
+               [[d["variant"], d["seed"], i, b, s, None if b is None or s is None else s - b]
+                for d in dicts for i, (b, s) in enumerate(zip(d["bin_report"]["bin_acc_backbone"],
+                                                              d["bin_report"]["bin_acc_st"]))])
 
 
 def cmd_generate(args) -> int:
-    hist = [float(v) for v in args.target_histogram.split(",")]
-    cfg = SynthConfig(n=args.n, classes=args.classes, feature_dim=args.feature_dim,
-                      mean_degree=args.mean_degree, target_histogram=np.array(hist),
-                      separation=args.separation, seed=args.seed)
-    graph = generate_graph(cfg)
+    config = {name: getattr(args, name) for name in _GENERATE_FIELDS}
+    for name, value in config.items():
+        if isinstance(value, str):  # an array field's comma list
+            config[name] = [float(v) for v in value.split(",")]
+    graph = generate_graph(SynthConfig(**config))
     out = Path(args.out)
     save_graph_dir(graph, out)
     meta = {
-        "config": {"n": cfg.n, "classes": cfg.classes, "feature_dim": cfg.feature_dim,
-                   "mean_degree": cfg.mean_degree, "target_histogram": hist,
-                   "separation": cfg.separation, "seed": cfg.seed},
+        "config": config,
         "measured": {"n_edges": graph.n_edges, "graph_homophily": graph_homophily(graph),
                      "mean_degree": float(np.mean(graph.degrees))},
     }
@@ -317,17 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Homophily-consistent graph self-training")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    synth = _field_defaults(SynthConfig)
     g = sub.add_parser("generate", help="generate a synthetic labeled graph directory")
-    g.add_argument("--n", type=int, default=synth["n"])
-    g.add_argument("--classes", type=int, default=synth["classes"])
-    g.add_argument("--feature-dim", type=int, dest="feature_dim", default=synth["feature_dim"])
-    g.add_argument("--mean-degree", type=float, dest="mean_degree", default=synth["mean_degree"])
-    g.add_argument("--target-histogram", dest="target_histogram",
-                   default=",".join(f"{v:g}" for v in SynthConfig().target_histogram),
-                   help="comma list of relative bin masses for node homophily targets")
-    g.add_argument("--separation", type=float, default=synth["separation"])
-    g.add_argument("--seed", type=int, default=synth["seed"])
+    synth = SynthConfig()
+    for name in _GENERATE_FIELDS:
+        default, flag = getattr(synth, name), "--" + name.replace("_", "-")
+        if isinstance(default, np.ndarray):
+            g.add_argument(flag, default=",".join(f"{v:g}" for v in default),
+                           help="comma list of relative bin masses for node homophily targets")
+        else:
+            g.add_argument(flag, type=type(default), default=default)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 

@@ -16,8 +16,8 @@ def bin_index(ratios, n_bins: int) -> np.ndarray:
     ratios = np.atleast_1d(np.asarray(ratios, dtype=np.float64))
     if n_bins < 1:
         raise ValueError(f"bin count must be >= 1, got {n_bins}")
-    if ratios.size and (ratios.min() < 0.0 or ratios.max() > 1.0):
-        bad = ratios[(ratios < 0.0) | (ratios > 1.0)][0]
+    if ratios.size and not (ratios.min() >= 0.0 and ratios.max() <= 1.0):  # NaN fails it
+        bad = ratios[~((ratios >= 0.0) & (ratios <= 1.0))][0]
         raise ValueError(f"homophily ratio {bad} outside [0, 1]")
     edges = np.arange(1, n_bins, dtype=np.float64) / n_bins
     return np.searchsorted(edges, ratios, side="right")
@@ -32,8 +32,10 @@ def _normalized_rows(soft_labels, n: int) -> np.ndarray:
     soft = np.asarray(soft_labels, dtype=np.float64)
     if soft.shape[0] != n:
         raise ValueError(f"soft labels have {soft.shape[0]} rows but the graph has {n} nodes")
-    if np.any(soft < 0):
-        raise ValueError("soft labels must be non-negative")
+    bad = np.argwhere(~((soft >= 0) & (soft < np.inf)))  # NaN fails both
+    if bad.size:
+        raise ValueError(f"soft labels must be finite and non-negative, got {soft[tuple(bad[0])]} "
+                         f"at node {bad[0][0]}")
     norms = np.linalg.norm(soft, axis=1)
     zero = np.nonzero(norms == 0)[0]
     if zero.size:

@@ -192,6 +192,10 @@ def kl_divergence_with_grad(p_counts, q_counts, eps: float = 1e-8):
     q_raw = np.asarray(q_counts, dtype=np.float64)
     if p_raw.shape != q_raw.shape:
         raise ValueError(f"bin-count mismatch: {p_raw.shape} vs {q_raw.shape}")
+    for name, counts in (("P", p_raw), ("Q", q_raw)):
+        bad = counts[~((counts >= 0) & (counts < np.inf))]  # NaN fails both
+        if bad.size:
+            raise ValueError(f"{name} bin count {bad[0]} is not finite and non-negative")
     cp = p_raw + eps
     cq = q_raw + eps
     total_p = cp.sum()

@@ -50,9 +50,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(*self.w1.shape, self.w_main.shape[1], self.flat.copy())
 
-    def matrices(self):
-        return {"w1": self.w1, "w2": self.w2, "w_main": self.w_main, "w_pseudo": self.w_pseudo}
-
 
 @dataclass
 class TrainConfig:
@@ -114,7 +111,7 @@ def init_params(d: int, hidden: int, c: int, seed: int) -> ModelParams:
         raise ValueError(f"all dimensions must be >= 1, got d={d} hidden={hidden} c={c}")
     rng = np.random.default_rng(seed)
     params = ModelParams(d, hidden, c)
-    for mat in params.matrices().values():  # w1, w2, w_main, w_pseudo: the order of the draws
+    for mat in (params.w1, params.w2, params.w_main, params.w_pseudo):  # the order of the draws
         limit = np.sqrt(6.0 / sum(mat.shape))  # fan in + fan out
         mat[:] = rng.uniform(-limit, limit, size=mat.shape)
     return params

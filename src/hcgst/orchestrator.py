@@ -11,7 +11,7 @@ validation accuracy across stages is the final one.
 from __future__ import annotations
 
 import logging
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -190,6 +190,8 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     k_stage = cfg.k_per_stage if cfg.k_per_stage is not None else n_labeled
 
     view1 = k_hop_adjacency(graph, 1)
+    # its entry bound may raise, so the k-hop view comes before any training
+    view_k = k_hop_adjacency(graph, cfg.hop) if delta_h > 0 and stages else None
     have_val = partition.validation.size > 0
 
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
@@ -207,7 +209,6 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
     logits = forward(params, view1, x)
     backbone_preds = np.argmax(logits, axis=1)
     val_acc = _accuracy(backbone_preds, y_true, partition.validation)
-    view_k = k_hop_adjacency(graph, cfg.hop) if delta_h > 0 and stages else None
 
     true_profile = true_homophily_profile(graph)
     global_true = bin_distribution(true_profile, n_bins)
@@ -320,21 +321,3 @@ def run_self_training(graph: Graph, partition: NodePartition, cfg: RunConfig) ->
         global_mean_true_h=float(np.mean(true_profile)),
         params=best_params,
     )
-
-def stage_csv_rows(reports):
-    """Header and rows (one per stage of each report) for stages.csv: n_selected and the scalar
-    StageReport fields."""
-    scalars = [f.name for f in fields(StageReport) if f.type != "list" and f.name != "stage"]
-    header = ["variant", "seed", "stage", "n_selected", *scalars]
-    rows = [[rep.variant, rep.seed, s.stage, len(s.selected), *(getattr(s, k) for k in scalars)]
-            for rep in reports for s in rep.stage_reports]
-    return header, rows
-
-
-def bin_csv_rows(reports):
-    """Header and rows (one per homophily bin of each report) for bins.csv."""
-    header = ["variant", "seed", "bin", "acc_backbone", "acc_self_trained", "delta"]
-    rows = [[rep.variant, rep.seed, i, b, s, None if b is None or s is None else s - b]
-            for rep in reports
-            for i, (b, s) in enumerate(zip(rep.bin_report.bin_acc_backbone, rep.bin_report.bin_acc_st))]
-    return header, rows

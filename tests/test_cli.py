@@ -7,9 +7,10 @@ import pytest
 
 from hcgst import cli
 from hcgst import graph as graph_module
+from hcgst import orchestrator
 from hcgst.cli import SWEEP_GRIDS, build_parser, main
 from hcgst.orchestrator import RunConfig
-from hcgst.synth import SynthConfig
+from hcgst.synth import SynthConfig, generate_graph
 
 
 def _generate(tmp_path, name="g", n=80, seed=5):
@@ -57,6 +58,18 @@ def test_generate_defaults_are_synth_config_defaults():
     assert hist == default.target_histogram.tolist()
 
 
+def test_generate_meta_config_rebuilds_the_graph(tmp_path):
+    # meta.json's config holds every SynthConfig field but cross_structure, which keeps its default
+    out = _generate(tmp_path)
+    config = json.loads((out / "meta.json").read_text())["config"]
+    names = [f.name for f in dataclasses.fields(SynthConfig)]
+    assert sorted(config) == sorted(name for name in names if name != "cross_structure")
+    rebuilt = tmp_path / "rebuilt"
+    graph_module.save_graph_dir(generate_graph(SynthConfig(**config)), rebuilt)
+    for name in ("edges.csv", "features.csv", "labels.csv"):
+        assert (rebuilt / name).read_bytes() == (out / name).read_bytes()
+
+
 def test_generate_rejects_bad_histogram(tmp_path):
     code = main(["generate", "--target-histogram", "0,0", "--out", str(tmp_path / "x")])
     assert code == 2
@@ -86,6 +99,38 @@ def test_run_writes_reports_and_aggregate(tmp_path):
     assert all(r["n_seeds"] == "2" for r in rows)
     assert (out / "stages.csv").exists()
     assert (out / "bins.csv").exists()
+
+
+def test_stage_and_bin_tables_follow_the_run_json(tmp_path):
+    graph = _generate(tmp_path)
+    out = tmp_path / "runs"
+    assert main(["run", "--graph", str(graph), "--out", str(out), "--variant", "hcgst", *RUN_ARGS]) == 0
+    doc = json.loads((out / "run_hcgst_0.json").read_text())
+    scalars = ["n_candidates", "n_multi_hop", "kl_picks_target", "pseudo_mean_est_h",
+               "pseudo_mean_true_h", "global_mean_est_h", "kl_local_global_true",
+               "kl_local_global_est", "cmd_global_local", "val_acc", "test_acc"]
+    with open(out / "stages.csv") as f:
+        reader = csv.DictReader(f)
+        assert reader.fieldnames == ["variant", "seed", "stage", "n_selected", *scalars]
+        rows = list(reader)
+    assert len(rows) == len(doc["stages"]) > 0
+    for row, stage in zip(rows, doc["stages"]):
+        assert (row["variant"], row["seed"], row["stage"]) == ("hcgst", "0", str(stage["stage"]))
+        assert int(row["n_selected"]) == len(stage["selected"])
+        for key in scalars:  # NaN is null in the JSON and nan in the CSV
+            assert row[key] == "nan" if stage[key] is None else float(row[key]) == stage[key], key
+    with open(out / "bins.csv") as f:
+        reader = csv.DictReader(f)
+        assert reader.fieldnames == ["variant", "seed", "bin", "acc_backbone", "acc_self_trained", "delta"]
+        rows = list(reader)
+    bins = doc["bin_report"]
+    assert [int(row["bin"]) for row in rows] == list(range(len(bins["bin_acc_st"])))
+    for row, back, st in zip(rows, bins["bin_acc_backbone"], bins["bin_acc_st"]):
+        if back is None or st is None:
+            assert row["delta"] == ""
+        else:
+            assert (float(row["acc_backbone"]), float(row["acc_self_trained"])) == (back, st)
+            assert float(row["delta"]) == st - back
 
 
 def test_run_without_tuning_flags_records_dataclass_defaults(tmp_path):
@@ -178,6 +223,13 @@ def test_run_requires_graph(tmp_path):
     assert main(["run", "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("command, extra", [("run", []), ("sweep", ["--param", "lambda_s"])])
+def test_run_requires_out(tmp_path, capsys, command, extra):
+    graph = _generate(tmp_path)
+    assert main([command, "--graph", str(graph), *extra]) == 2
+    assert capsys.readouterr().err == "error: --out is required (flag or config file)\n"
+
+
 def test_run_missing_graph_dir_is_config_error(tmp_path):
     code = main(["run", "--graph", str(tmp_path / "nope"), "--out", str(tmp_path / "x")])
     assert code == 2
@@ -214,6 +266,11 @@ def test_run_diverging_training_is_runtime_failure(tmp_path, capsys, epochs):
 def test_run_over_the_k_hop_limit_is_config_error(tmp_path, capsys, monkeypatch):
     graph = _generate(tmp_path)
     monkeypatch.setattr(graph_module, "KHOP_ENTRY_LIMIT", 100)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("the backbone trained before the k-hop bound was checked")
+
+    monkeypatch.setattr(orchestrator, "train_dual", no_training)
     assert main(["run", "--graph", str(graph), "--out", str(tmp_path / "x"), "--variant", "hcgst",
                  "--hop", "3", *RUN_ARGS]) == 2
     err = capsys.readouterr().err

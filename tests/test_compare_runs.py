@@ -28,7 +28,9 @@ def test_tree_against_its_copy_reads_identical(tmp_path, capsys):
     assert compare_runs.main([str(base), str(change), "--n", "200", "--seeds", "0",
                               "--stages", "1", "--work", str(tmp_path / "same")]) == 0
     out = capsys.readouterr().out
-    assert "seed 0: byte-identical" in out and "picks" not in out
+    assert "seed 0: graph identical\n" in out and "seed 0: byte-identical" in out and "picks" not in out
+    for side in ("base", "change"):
+        assert (tmp_path / "same" / f"{side}-graph-0" / "meta.json").is_file()
     lines = compare_runs.source_lines(_ROOT)
     assert lines == sum(len(p.read_text().splitlines()) for p in (_ROOT / "src" / "hcgst").glob("*.py"))
     assert "help: identical\n" in out and f"src/hcgst lines: base {lines}  change {lines}\n" in out
@@ -44,6 +46,31 @@ def test_two_variants_compare_each_run_report(tmp_path, capsys):
     assert (tmp_path / "two" / "change-0" / "run_backbone_only_0.json").is_file()
 
 
+def test_changed_generate_meta_reads_graph_difference(tmp_path, capsys):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    cli = change / "src" / "hcgst" / "cli.py"
+    text = cli.read_text()
+    assert '"n_edges": graph.n_edges,' in text
+    cli.write_text(text.replace('"n_edges": graph.n_edges,', '"n_edges": graph.n_edges + 1,'))
+    assert compare_runs.main([str(base), str(change), "--n", "200", "--seeds", "0", "--stages", "1",
+                              "--work", str(tmp_path / "meta")]) == 1
+    out = capsys.readouterr().out
+    assert "help: identical\n" in out
+    assert "seed 0: graph differs in meta.json\n" in out and "seed 0: byte-identical" in out
+
+
+def test_graph_differences_skip_a_meta_json_neither_side_has(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for path in (a, b):
+        path.mkdir()
+        for name in ("edges.csv", "features.csv", "labels.csv"):
+            (path / name).write_text(name)
+    assert compare_runs.graph_differences(a, b) == []
+    (b / "labels.csv").write_text("other")
+    (a / "meta.json").write_text("{}")
+    assert compare_runs.graph_differences(a, b) == ["labels.csv", "meta.json"]
+
+
 def test_changed_step_size_reads_different_picks(tmp_path, capsys):
     base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
     selection = change / "src" / "hcgst" / "selection.py"
@@ -51,6 +78,7 @@ def test_changed_step_size_reads_different_picks(tmp_path, capsys):
     assert compare_runs.main([str(base), str(change), "--n", "500", "--fixture", "--seeds", "0",
                               "--stages", "1", "--work", str(tmp_path / "differ")]) == 1
     out = capsys.readouterr().out
+    assert "seed 0: graph identical\n" in out and "meta.json" not in out
     assert "seed 0: differs in run JSON" in out and "stage 1 picks:" in out
 
 

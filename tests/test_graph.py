@@ -35,6 +35,17 @@ def test_build_empty_edge_list():
     assert g.degrees.tolist() == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("features", [np.zeros(4), np.zeros((2, 2, 2))])
+def test_build_rejects_features_that_are_not_a_matrix(features):
+    with pytest.raises(ValueError, match="features must be a 2-d matrix"):
+        build_graph([(0, 1)], features)
+
+
+def test_true_profile_rejects_unlabelled_graph():
+    with pytest.raises(ValueError, match="graph has no labels"):
+        true_homophily_profile(_graph([(0, 1)], n=2))
+
+
 def test_build_rejects_non_finite_feature_with_row():
     features = np.zeros((4, 3))
     features[2, 1] = np.nan

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcgst.graph import build_graph, true_homophily_profile, true_node_homophily
-from hcgst.homophily import (bin_distribution, estimate_homophily_profile,
+from hcgst.homophily import (bin_distribution, bin_index, estimate_homophily_profile,
                              estimate_node_homophily, target_distribution)
 from hcgst.synth import SynthConfig, generate_graph
 
@@ -59,6 +59,21 @@ def test_estimate_rejects_zero_norm_row():
     g = _graph([(0, 1)], n=2)
     soft = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="node 1"):
+        estimate_node_homophily(soft, g, 0)
+
+
+@pytest.mark.parametrize("bad, shown", [(np.nan, "nan"), (-0.25, "-0.25"), (np.inf, "inf")])
+def test_estimators_reject_non_finite_and_negative_soft_labels(bad, shown):
+    # a NaN used to pass and make the profile NaN at the node and its neighbours
+    g = generate_graph(SynthConfig(n=60, seed=1))
+    soft = np.full((60, 4), 0.25)
+    soft[3, 1] = bad
+    message = f"soft labels must be finite and non-negative, got {shown} at node 3"
+    with pytest.raises(ValueError, match=message):
+        estimate_homophily_profile(soft, g)
+    with pytest.raises(ValueError, match=message):
+        estimate_homophily_profile(soft, g, {3: 0})  # also where an override replaces the row
+    with pytest.raises(ValueError, match=message):
         estimate_node_homophily(soft, g, 0)
 
 
@@ -130,6 +145,21 @@ def test_bin_mass_conservation():
 def test_bin_rejects_out_of_range():
     with pytest.raises(ValueError, match="outside"):
         bin_distribution([0.5, 1.2], 10)
+
+
+@pytest.mark.parametrize("ratios, shown", [([0.2, np.nan], "nan"), ([-0.5, 0.3], "-0.5"),
+                                           ([np.inf], "inf")])
+@pytest.mark.parametrize("binning", [bin_index, bin_distribution])
+def test_bin_rejects_nan_and_ratios_outside_unit_interval(binning, ratios, shown):
+    # a NaN used to land in the top bin
+    with pytest.raises(ValueError, match=rf"homophily ratio {shown} outside \[0, 1\]"):
+        binning(ratios, 10)
+
+
+@pytest.mark.parametrize("n_bins", [0, -3])
+def test_bin_rejects_bin_count_below_one(n_bins):
+    with pytest.raises(ValueError, match=f"bin count must be >= 1, got {n_bins}"):
+        bin_index([0.5], n_bins)
 
 
 def test_estimate_distribution_empty_set():
@@ -221,6 +251,17 @@ def test_target_hand_fixture():
 def test_target_rejects_zero_global():
     with pytest.raises(ValueError, match="zero total"):
         target_distribution(np.zeros(2), np.zeros(2), k=1)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_target_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        target_distribution(np.ones(2), np.zeros(2), k=k)
+
+
+def test_target_rejects_counts_of_different_lengths():
+    with pytest.raises(ValueError, match=r"differ in length: \(3,\) vs \(2,\)"):
+        target_distribution(np.ones(3), np.zeros(2), k=1)
 
 
 @pytest.mark.parametrize("seed", range(5))

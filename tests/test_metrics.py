@@ -180,6 +180,31 @@ def test_cmd_config_rejects_a_single_support_bound(bound):
         CmdConfig(**bound)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"max_order": 0}, "max_order must be >= 1, got 0"),
+    ({"support_lo": 1.0, "support_hi": 1.0}, "support_hi must exceed support_lo"),
+    ({"support_lo": 1.0, "support_hi": -1.0}, "support_hi must exceed support_lo"),
+])
+def test_cmd_config_rejects_bad_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        CmdConfig(**settings)
+
+
+@pytest.mark.parametrize("x, y, name", [
+    (np.zeros((2, 2, 2)), np.zeros((3, 2)), "X"),
+    (np.zeros((0, 2)), np.zeros((3, 2)), "X"),
+    (np.zeros((3, 2)), np.empty(0), "Y"),
+])
+def test_cmd_rejects_samples_that_are_not_a_non_empty_matrix(x, y, name):
+    with pytest.raises(ValueError, match=f"{name} must be a non-empty 2-d sample matrix"):
+        cmd(x, y)
+
+
+def test_cmd_weighted_rejects_weights_of_another_length():
+    with pytest.raises(ValueError, match=r"weights must have length 3, got \(2,\)"):
+        cmd_weighted_with_grad(np.zeros((3, 2)), [0.5, 0.5], np.zeros((2, 2)))
+
+
 def test_cmd_weighted_rejects_out_of_box_weights():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         cmd_weighted_with_grad(np.zeros((2, 2)), [0.5, 1.5], np.zeros((2, 2)))
@@ -211,6 +236,27 @@ def _bins(n, lo=0.0, hi=1.0):
 def test_kl_non_negative(pq):
     p, q = pq
     assert kl_divergence(p, q) >= 0.0
+
+
+@pytest.mark.parametrize("p, q, message", [
+    ([-1.0, 2.0], [1.0, 1.0], "P bin count -1.0 "),
+    ([np.inf, 2.0], [1.0, 1.0], "P bin count inf "),
+    ([1.0, 2.0], [np.nan, 1.0], "Q bin count nan "),
+    ([1.0, 2.0], [1.0, -np.inf], "Q bin count -inf "),
+])
+@pytest.mark.parametrize("kl", [kl_divergence, kl_divergence_with_grad])
+def test_kl_rejects_negative_and_non_finite_counts(kl, p, q, message):
+    # they used to read as nan with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message + "is not finite and non-negative"):
+            kl(p, q)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8])
+def test_kl_rejects_non_positive_eps(eps):
+    with pytest.raises(ValueError, match=f"smoothing eps must be positive, got {eps}"):
+        kl_divergence([1.0, 2.0], [1.0, 1.0], eps=eps)
 
 
 def test_kl_rejects_bin_mismatch():

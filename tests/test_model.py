@@ -15,6 +15,7 @@ from hcgst.orchestrator import RunConfig, run_self_training
 from hcgst.synth import SynthConfig, generate_graph
 
 EMPTY = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+_VIEWS = ("w1", "w2", "w_main", "w_pseudo")  # the weight matrices, views of ModelParams.flat
 
 
 def _graph(edges, n, labels=None, d=3, seed=0):
@@ -38,8 +39,7 @@ def _two_blob_graph(seed=0, n=20, c=4):
 def test_init_deterministic():
     a = init_params(5, 8, 3, seed=42)
     b = init_params(5, 8, 3, seed=42)
-    for key in a.matrices():
-        assert np.array_equal(a.matrices()[key], b.matrices()[key])
+    assert np.array_equal(a.flat, b.flat)
 
 
 def test_params_are_views_of_one_vector_through_copy_and_pickle():
@@ -48,14 +48,13 @@ def test_params_are_views_of_one_vector_through_copy_and_pickle():
     p.flat[0] = 7.0
     assert p.w1[0, 0] == 7.0
     q = p.copy()
-    assert not any(np.shares_memory(a, b) for a in q.matrices().values() for b in p.matrices().values())
+    assert not np.shares_memory(q.flat, p.flat)
     r = pickle.loads(pickle.dumps(p))
     r.flat[-1] = 9.0
     assert r.w_pseudo[-1, -1] == 9.0 and p.w_pseudo[-1, -1] != 9.0
-    for key, mat in p.matrices().items():
-        assert np.shares_memory(r.matrices()[key], r.flat)
-        if key != "w_pseudo":
-            assert np.array_equal(r.matrices()[key], mat), key
+    for copied in (q, r):
+        assert all(np.shares_memory(getattr(copied, key), copied.flat) for key in _VIEWS)
+    assert np.array_equal(q.flat, p.flat) and np.array_equal(r.flat[:-1], p.flat[:-1])
 
 
 def test_init_rejects_zero_width():
@@ -63,10 +62,21 @@ def test_init_rejects_zero_width():
         init_params(5, 0, 3, seed=0)
 
 
+@pytest.mark.parametrize("settings, message", [
+    ({"epochs": 0}, "epochs must be >= 1, got 0"),
+    ({"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
+    ({"learning_rate": -0.01}, "learning_rate must be positive, got -0.01"),
+    ({"weight_decay": -1e-4}, "weight_decay must be >= 0, got -0.0001"),
+])
+def test_train_config_rejects_out_of_range_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**settings)
+
+
 def test_init_seeds_differ():
     a = init_params(5, 8, 3, seed=1)
     b = init_params(5, 8, 3, seed=2)
-    assert any(not np.array_equal(a.matrices()[k], b.matrices()[k]) for k in a.matrices())
+    assert not np.array_equal(a.flat, b.flat)
 
 
 def test_softmax_examples():
@@ -154,6 +164,12 @@ def test_forward_rejects_node_count_mismatch():
         forward(params, k_hop_adjacency(g, 1), np.zeros((5, 3)))
 
 
+def test_forward_rejects_feature_dim_mismatch():
+    g = _graph([(0, 1)], n=2, d=3)
+    with pytest.raises(ValueError, match="feature dim 3 does not match model input dim 5"):
+        forward(init_params(5, 4, 2, seed=0), k_hop_adjacency(g, 1), g.features)
+
+
 def test_predict_ignores_pseudo_head():
     g = _graph([(0, 1), (1, 2)], n=3, d=3)
     params = init_params(3, 4, 2, seed=9)
@@ -180,7 +196,7 @@ def test_lambda_zero_matches_single_head_gradients():
     _, single, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, main_idx, g.labels[main_idx],
                                                             EMPTY[0], EMPTY[1]), 0.0, 5e-4)
     for key in ("w1", "w2", "w_main"):
-        assert np.allclose(dual.matrices()[key], single.matrices()[key], atol=1e-15)
+        assert np.allclose(getattr(dual, key), getattr(single, key), atol=1e-15)
     assert np.all(dual.w_pseudo == 0.0)
 
 
@@ -221,6 +237,25 @@ def test_train_rejects_empty_clean_set():
                    TrainConfig(epochs=1), 0.09)
 
 
+@pytest.mark.parametrize("position, name", [(0, "clean set"), (1, "consistent pseudo set"),
+                                            (2, "leftover set"), (3, "validation set")])
+def test_train_rejects_nodes_and_labels_of_different_lengths(position, name):
+    g = _two_blob_graph()
+    sets = [(np.array([0, 1]), g.labels[:2]), EMPTY, EMPTY, None]
+    sets[position] = (np.array([2, 3, 4]), g.labels[2:4])
+    with pytest.raises(ValueError, match=f"{name}: nodes and labels must be co-indexed"):
+        train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), *sets[:3],
+                   TrainConfig(epochs=1), 0.09, validation=sets[3])
+
+
+def test_train_rejects_a_non_finite_loss():
+    # a finite weight decay whose penalty overflows: the loss is inf at the first epoch
+    g = _two_blob_graph()
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite training loss at epoch 0"):
+        train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), (np.array([0, 1]), g.labels[:2]),
+                   EMPTY, EMPTY, TrainConfig(epochs=1, weight_decay=1e308), 0.09)
+
+
 def test_train_rejects_label_out_of_range():
     g = _two_blob_graph()
     with pytest.raises(ValueError, match="outside"):
@@ -246,8 +281,7 @@ def test_train_empty_validation_is_no_validation():
             TrainConfig(epochs=20), 0.09)
     none = train_dual(init_params(3, 4, 4, 0), *args, validation=None)
     empty = train_dual(init_params(3, 4, 4, 0), *args, validation=EMPTY)
-    for key, mat in none.matrices().items():
-        assert np.array_equal(mat, empty.matrices()[key])
+    assert np.array_equal(none.flat, empty.flat)
 
 
 def test_train_rejects_overlapping_sets():
@@ -348,7 +382,7 @@ def _reference_dual_loss_and_grads(params, view, x, main_idx, main_y, left_idx, 
     dpre1 = (a_hat.T @ (dh @ params.w2.T)) * (pre1 > 0)
     grads = {"w1": x1.T @ dpre1 + wd * params.w1, "w2": x2.T @ dh + wd * params.w2,
              "w_main": h.T @ dzm + wd * params.w_main, "w_pseudo": h.T @ dzp}
-    loss = loss_m + lam * loss_p + 0.5 * wd * sum(np.sum(params.matrices()[k] ** 2)
+    loss = loss_m + lam * loss_p + 0.5 * wd * sum(np.sum(getattr(params, k) ** 2)
                                                   for k in ("w1", "w2", "w_main"))
     return loss, grads, zm
 
@@ -382,7 +416,7 @@ def test_row_restricted_loss_matches_full_graph_reference(problem, lam):
         params, view, g.features, main, y[main], left, y[left], lam, 5e-4)
     assert loss == pytest.approx(ref_loss, rel=1e-12)
     for key, ref in ref_grads.items():
-        assert np.max(np.abs(grads.matrices()[key] - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(getattr(grads, key) - ref)) <= 1e-12 * np.max(np.abs(ref))
     for pos, idx in ((tr.main_pos, main), (tr.left_pos, left), (tr.val_pos, val)):
         assert np.max(np.abs(zm[pos] - ref_zm[idx]), initial=0.0) <= 1e-12 * np.max(np.abs(ref_zm))
 
@@ -438,14 +472,14 @@ def test_loss_and_grads_bit_identical_to_plain_version(problem, lam):
         assert loss == want_loss
         assert np.array_equal(zm, want_zm)
         for key, want in want_grads.items():
-            assert np.array_equal(grads.matrices()[key], want), key
+            assert np.array_equal(getattr(grads, key), want), key
 
 
 def _plain_train_dual(params, rows, val_y, cfg, lam):
     """train_dual's loop with one Adam update per matrix and the plain loss."""
     cur = params.copy()
-    state_m = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
-    state_v = {k: np.zeros_like(v) for k, v in cur.matrices().items()}
+    state_m = {k: np.zeros_like(getattr(cur, k)) for k in _VIEWS}
+    state_v = {k: np.zeros_like(getattr(cur, k)) for k in _VIEWS}
     best = None
     for epoch in range(cfg.epochs + 1):
         _, grads, zm = _plain_dual_loss_and_grads(cur, rows, lam, cfg.weight_decay)
@@ -455,13 +489,13 @@ def _plain_train_dual(params, rows, val_y, cfg, lam):
         if epoch == cfg.epochs:
             break
         t = epoch + 1
-        mats = cur.matrices()
         for key, g in grads.items():
             state_m[key] = 0.9 * state_m[key] + (1 - 0.9) * g
             state_v[key] = 0.999 * state_v[key] + (1 - 0.999) * g * g
             m_hat = state_m[key] / (1 - 0.9**t)
             v_hat = state_v[key] / (1 - 0.999**t)
-            mats[key] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+            view = getattr(cur, key)
+            view -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
     return best[1]
 
 
@@ -474,8 +508,7 @@ def test_train_dual_bit_identical_to_plain_loop():
     rows = TrainingRows(view, g.features, *main, *left, val[0])
     with _one_blas_thread():  # as train_dual runs
         want = _plain_train_dual(init, rows, val[1], cfg, 0.09)
-    for key, mat in want.matrices().items():
-        assert np.array_equal(trained.matrices()[key], mat), key
+    assert np.array_equal(trained.flat, want.flat)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.09, 1.0])
@@ -503,8 +536,7 @@ def test_train_rejects_negative_lambda_dual():
 def test_gradient_finite_at_zero_params():
     g = _graph([(0, 1), (1, 2)], n=3, d=3, seed=1, labels=[0, 1, 0])
     params = init_params(3, 4, 2, seed=0)
-    for mat in params.matrices().values():
-        mat[:] = 0.0
+    params.flat[:] = 0.0
     tr = TrainingRows(k_hop_adjacency(g, 1), g.features, np.array([0, 2]), np.array([0, 0]),
                       np.array([1]), np.array([1]))
     _, grads, _ = dual_loss_and_grads(params, tr, 0.09, 5e-4)
@@ -606,8 +638,7 @@ def test_train_dual_bits_do_not_depend_on_caller_blas_threads(blas_threads):
         set_(threads)
         trained.append(train_dual(init_params(g.d, 32, g.c, 0), g, view, *train_sets,
                                   TrainConfig(epochs=5), 0.09, validation=val))
-    for key, mat in trained[0].matrices().items():
-        assert np.array_equal(mat, trained[1].matrices()[key]), key
+    assert np.array_equal(trained[0].flat, trained[1].flat)
 
 
 def test_blas_thread_count_is_restored(blas_threads):

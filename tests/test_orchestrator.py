@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,18 @@ def test_bias_metrics_skips_nan_bins():
     assert npv == 0.0 and ppv == pytest.approx(0.1)
 
 
+def test_bias_metrics_without_a_bin_on_both_sides_is_zero():
+    st = np.array([np.nan, 0.5, np.nan])
+    back = np.array([0.4, np.nan, np.nan])
+    assert bias_metrics(st, back) == (0.0, 0.0, 0.0)
+    assert bias_metrics(np.full(3, np.nan), np.full(3, np.nan)) == (0.0, 0.0, 0.0)
+
+
+def test_bias_metrics_rejects_vectors_of_different_shapes():
+    with pytest.raises(ValueError, match="co-indexed"):
+        bias_metrics(np.ones(3), np.ones(4))
+
+
 def test_tpv_between_npv_and_ppv():
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -89,6 +103,28 @@ def test_tpv_between_npv_and_ppv():
 def test_unknown_variant_rejected(small_graph):
     with pytest.raises(ValueError, match="variant"):
         _cfg(variant="maximum_effort")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("stages", 0, "stages must be >= 1, got 0"),
+    ("k_per_stage", 0, "k_per_stage must be >= 1, got 0"),
+    ("delta_c", 1.0, r"delta_c must lie in \(0, 1\), got 1.0"),
+    ("delta_c", 0.0, r"delta_c must lie in \(0, 1\), got 0.0"),
+    ("delta_h", -0.1, "delta_h must be >= 0, got -0.1"),
+    ("lambda_s", -1.0, "lambda_s and lambda_d must be >= 0"),
+    ("lambda_d", -1.0, "lambda_s and lambda_d must be >= 0"),
+    ("n_bins", 0, "n_bins and hop must be >= 1"),
+    ("hop", 0, "n_bins and hop must be >= 1"),
+])
+def test_run_config_rejects_out_of_range_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        _cfg(**{field: value})
+
+
+def test_requires_labels(small_graph):
+    unlabelled = dataclasses.replace(small_graph, labels=None)
+    with pytest.raises(ValueError, match="requires ground-truth labels"):
+        run_self_training(unlabelled, _partition(small_graph), _cfg())
 
 
 def test_requires_nonempty_labeled(small_graph):

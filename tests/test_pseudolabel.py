@@ -50,6 +50,11 @@ def test_mix_rejects_shape_mismatch():
         assign_pseudo_labels(np.zeros((3, 2)), np.zeros((2, 2)), [0.1, 0.2, 0.3], 0.4, [0])
 
 
+def test_assign_rejects_homophily_of_another_length():
+    with pytest.raises(ValueError, match="co-indexed with output rows"):
+        assign_pseudo_labels(np.zeros((3, 2)), np.zeros((3, 2)), [0.1, 0.2], 0.4, [0])
+
+
 def test_assign_highest_probability():
     labels, _ = assign_pseudo_labels(np.array([[0.1, 0.7, 0.2]]), np.zeros((1, 3)), [0.9], 0.4, [0])
     assert labels.tolist() == [1]

@@ -49,6 +49,28 @@ def test_problem_rejects_invalid_cmd_inputs_when_constructed(change, message):
         replace(_random_problem(0), **change)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"candidates": np.empty(0, dtype=np.int64)}, "needs at least one candidate"),
+    ({"k": 0}, "k must be >= 1, got 0"),
+    ({"cand_repr": np.zeros((7, 3))}, "co-indexed with candidates"),
+    ({"cand_homophily": np.full(9, 0.5)}, "co-indexed with candidates"),
+])
+def test_problem_rejects_inconsistent_sizes(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(_random_problem(0), **change)
+
+
+def test_optimize_rejects_a_non_finite_loss():
+    # all the target in a bin no candidate falls in: KL > 1, so the largest lambda_s overflows L_q
+    problem = _random_problem(0, lambda_s=np.finfo(np.float64).max)
+    empty_bin = np.flatnonzero(np.bincount(problem.bins, minlength=problem.n_bins) == 0)[0]
+    problem = replace(problem, target=np.eye(problem.n_bins)[empty_bin] * problem.k)
+    _, _, terms = selection_loss_and_grad(replace(problem, lambda_s=1.0), np.full(8, 3 / 8))
+    assert np.isfinite(terms["cmd"]) and 1.0 < terms["kl"] < np.inf
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="selection loss non-finite at iteration 0"):
+        optimize_selection(problem)
+
+
 def test_single_bin_end_to_end():
     rng = np.random.default_rng(11)
     hh = rng.random(30)
@@ -376,6 +398,12 @@ def test_top_k_tie_breaks_by_node_id_last():
 def test_top_k_more_than_available_returns_all():
     out = top_k([0.2, 0.8], 5, [1, 2], [0.5, 0.5])
     assert sorted(out.tolist()) == [1, 2]
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_top_k_rejects_k_below_one(k):
+    with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
+        top_k([0.5], k, [3], [0.9])
 
 
 def test_top_k_empty_candidates():

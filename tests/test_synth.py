@@ -80,7 +80,9 @@ def test_config_rejects_bad_histogram():
         SynthConfig(target_histogram=np.array([1.0, -0.5]))
 
 
-@pytest.mark.parametrize("field, value", [("mean_degree", -2.0), ("classes", 0), ("feature_dim", 0)])
+@pytest.mark.parametrize("field, value", [("mean_degree", -2.0), ("classes", 0), ("feature_dim", 0),
+                                          ("separation", -0.5), ("cross_structure", -0.1),
+                                          ("cross_structure", 1.5)])
 def test_config_rejects_impossible_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         SynthConfig(**{field: value})
@@ -122,6 +124,19 @@ def test_sample_rejects_unknown_mode():
     g = _broad_graph()
     with pytest.raises(ValueError, match="unknown bias mode"):
         sample_training_set(g, 0.05, "upside_down", 10, seed=0)
+
+
+def test_sample_rejects_unlabelled_graph():
+    g = _broad_graph()
+    unlabelled = build_graph(g.edges, g.features)
+    with pytest.raises(ValueError, match="needs ground-truth labels"):
+        sample_training_set(unlabelled, 0.05, "representative", 10, seed=0)
+
+
+def test_sample_rejects_empty_graph():
+    empty = build_graph([], np.zeros((0, 2)), np.zeros(0, dtype=np.int64), n_classes=2)
+    with pytest.raises(ValueError, match="empty graph"):
+        sample_training_set(empty, 0.5, "representative", 10, seed=0)
 
 
 def test_sample_rejects_budget_below_class_count():

@@ -6,19 +6,24 @@
 
 Each checkout is a black box: its ``hcgst`` command line runs in a fresh
 interpreter with the checkout's ``src`` first on the path. For each seed s,
-the base checkout writes a graph with graph seed 7 + s: by ``hcgst generate
---n N``, or with ``--fixture`` by the settings of the acceptance-test fixture
-(``--n 500 --fixture`` is that fixture). Each checkout then runs ``hcgst run
---variant LIST --bias-mode heterophily_biased --stages S --seed s`` on it
-(``--variant``, default ``hcgst``). Per seed it prints whether the outputs are byte-identical (each
-variant's run JSON without ``generated_at``, ``stages.csv``, ``bins.csv`` and
-``aggregate.csv``), per variant ``test_acc``, ``final_kl_true`` and
-``best_stage`` of both sides, and per stage the picks only one side made, as
-the run JSON's ``stages[].selected`` lists them. Before the seeds it prints
-``help: identical`` or ``help: differs`` for the ``hcgst run --help`` and
-``hcgst sweep --help`` texts of the two checkouts, and each checkout's line
-count of ``src/hcgst/*.py`` (as ``wc -l`` counts). Exits 0 when the help
-texts and every seed are byte-identical, 1 otherwise.
+each checkout writes a graph with graph seed 7 + s: by ``hcgst generate --n
+N``, or with ``--fixture`` by the settings of the acceptance-test fixture
+(``--n 500 --fixture`` is that fixture). Per seed it prints ``graph
+identical`` or ``graph differs in`` the files whose bytes differ
+(``edges.csv``, ``features.csv``, ``labels.csv`` and ``meta.json``, which
+only ``generate`` writes). Each checkout then runs ``hcgst run --variant LIST
+--bias-mode heterophily_biased --stages S --seed s`` on the base checkout's
+graph (``--variant``, default ``hcgst``). Per seed it prints whether the
+outputs are byte-identical (each variant's run JSON without
+``generated_at``, ``stages.csv``, ``bins.csv`` and ``aggregate.csv``), per
+variant ``test_acc``, ``final_kl_true`` and ``best_stage`` of both sides, and
+per stage the picks only one side made, as the run JSON's
+``stages[].selected`` lists them. Before the seeds it prints ``help:
+identical`` or ``help: differs`` for the ``hcgst run --help``, ``hcgst sweep
+--help`` and ``hcgst generate --help`` texts of the two checkouts, and each
+checkout's line count of ``src/hcgst/*.py`` (as ``wc -l`` counts). Exits 0
+when the help texts, every graph and every seed's outputs are
+byte-identical, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ import tempfile
 from pathlib import Path
 
 OUTPUTS = ("stages.csv", "bins.csv", "aggregate.csv")
+GRAPH_FILES = ("edges.csv", "features.csv", "labels.csv", "meta.json")
 SIDES = ("base", "change")
 
 # Each snippet puts a checkout's SRC first on the path (`python -m` with PYTHONPATH
@@ -71,6 +77,14 @@ def _child(checkout: Path, code: str, *args) -> str:
 def source_lines(checkout: Path) -> int:
     """Newlines in ``src/hcgst/*.py``, the total ``wc -l`` prints."""
     return sum(p.read_bytes().count(b"\n") for p in (checkout / "src" / "hcgst").glob("*.py"))
+
+
+def graph_differences(a: Path, b: Path) -> list:
+    """The names in GRAPH_FILES whose bytes differ between graph directories
+    ``a`` and ``b``; a file neither has (the fixture's meta.json) does not."""
+    def read(path):
+        return path.read_bytes() if path.exists() else None
+    return [name for name in GRAPH_FILES if read(a / name) != read(b / name)]
 
 
 def run_side(checkout: Path, graph: Path, seed: int, stages: int, variants: list, out: Path) -> dict:
@@ -125,7 +139,7 @@ def main(argv=None) -> int:
             parser.error(f"{checkout} has no src/hcgst")
 
     checkouts = (args.base, args.change)
-    helps = [[_child(checkout, CLI, command, "--help") for command in ("run", "sweep")]
+    helps = [[_child(checkout, CLI, command, "--help") for command in ("run", "sweep", "generate")]
              for checkout in checkouts]
     identical_all = helps[0] == helps[1]
     print("help: " + ("identical" if identical_all else "differs"))
@@ -134,12 +148,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
         for seed in parse_seeds(args.seeds):
-            graph = work / f"graph-{seed}"
-            if args.fixture:
-                _child(args.base, FIXTURE, args.n, 7 + seed, graph)
-            else:
-                _child(args.base, CLI, "generate", "--n", args.n, "--seed", 7 + seed, "--out", graph)
-            sides = {side: run_side(checkout, graph, seed, args.stages, variants, work / f"{side}-{seed}")
+            graphs = [work / f"{side}-graph-{seed}" for side in SIDES]
+            for checkout, graph in zip(checkouts, graphs):
+                if args.fixture:
+                    _child(checkout, FIXTURE, args.n, 7 + seed, graph)
+                else:
+                    _child(checkout, CLI, "generate", "--n", args.n, "--seed", 7 + seed, "--out", graph)
+            graph_differ = graph_differences(*graphs)
+            identical_all &= not graph_differ
+            print(f"seed {seed}: " + ("graph identical" if not graph_differ
+                                      else "graph differs in " + ", ".join(graph_differ)), flush=True)
+            sides = {side: run_side(checkout, graphs[0], seed, args.stages, variants, work / f"{side}-{seed}")
                      for side, checkout in zip(SIDES, checkouts)}
             differ = [name for name in sides["base"]["texts"]
                       if sides["base"]["texts"][name] != sides["change"]["texts"][name]]
