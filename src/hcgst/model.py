@@ -60,9 +60,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails every comparison
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
@@ -181,7 +181,8 @@ class TrainingRows:
     def __init__(self, view, features, main_idx, main_y, left_idx, left_y, val_idx=None):
         sets = [np.asarray(idx, dtype=np.int64)  # main, leftover and validation nodes
                 for idx in (main_idx, left_idx, () if val_idx is None else val_idx)]
-        rows = np.unique(np.concatenate(sets))
+        rows = np.sort(np.concatenate(sets))
+        rows = rows[np.diff(rows, prepend=-1) != 0]  # ids >= 0: np.unique's array, without its hash path
         self.x1 = view.norm @ np.asarray(features, dtype=np.float64)  # (n, d) Â·X
         self.a_rows = view.norm[rows]    # (|R|, n) Â[R]
         self.a_rows_t = self.a_rows.T    # (n, |R|) Â[R]ᵀ, a CSC matrix
@@ -282,7 +283,7 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     if clean_idx.size == 0:
         raise ValueError("clean training set must be non-empty")
     all_train = np.concatenate([clean_idx, cons_idx, left_idx])
-    if len(np.unique(all_train)) != all_train.size:
+    if np.any(np.diff(np.sort(all_train)) == 0):
         raise ValueError("clean, consistent and leftover sets must be disjoint")
 
     val_idx, val_y = _check_label_sets("validation set", *(validation or ((), ())), n, c)

@@ -50,9 +50,9 @@ class RunConfig:
             raise ValueError(f"k_per_stage must be >= 1, got {self.k_per_stage}")
         if not 0 < self.delta_c < 1:
             raise ValueError(f"delta_c must lie in (0, 1), got {self.delta_c}")
-        if self.delta_h < 0:
+        if not self.delta_h >= 0:  # NaN fails every comparison
             raise ValueError(f"delta_h must be >= 0, got {self.delta_h}")
-        if self.lambda_s < 0 or self.lambda_d < 0:
+        if not (self.lambda_s >= 0 and self.lambda_d >= 0):
             raise ValueError("lambda_s and lambda_d must be >= 0")
         if self.n_bins < 1 or self.hop < 1:
             raise ValueError("n_bins and hop must be >= 1")

@@ -91,9 +91,10 @@ def selection_loss_and_grad(problem: SelectionProblem, q):
     mass = np.bincount(problem.bins, weights=q, minlength=problem.n_bins)
     kl_val, kl_mass_grad = kl_divergence_with_grad(mass, problem.target)
 
-    loss = cmd_val + problem.lambda_s * kl_val
+    weighted_kl = problem.lambda_s * kl_val
+    loss = cmd_val + weighted_kl
     grad = cmd_grad + problem.lambda_s * kl_mass_grad[problem.bins]
-    return loss, grad, {"cmd": cmd_val, "kl": kl_val}
+    return loss, grad, {"cmd": cmd_val, "kl": kl_val, "lambda_s*kl": weighted_kl}
 
 
 def project_capped_simplex(v, k: float) -> np.ndarray:

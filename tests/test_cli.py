@@ -286,6 +286,7 @@ def test_run_over_the_k_hop_limit_is_config_error(tmp_path, capsys, monkeypatch)
     ("run", ["--epochs", "-1"], "epochs must be >= 1"),
     ("run", ["--weight-decay", "-5"], "weight_decay must be >= 0"),
     ("sweep", ["--param", "lambda_d", "--values", ""], "could not convert"),
+    ("run", ["--delta-h", "nan"], "delta_h must be >= 0, got nan"),
 ])
 def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, command, bad, message):
     graph = _generate(tmp_path)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from hcgst import graph as graph_module
 from hcgst.graph import (build_graph, graph_homophily, k_hop_adjacency, load_graph_dir,
                          make_partition, save_graph_dir, true_homophily_profile,
                          true_node_homophily)
+from hcgst.synth import SynthConfig, generate_graph
 
 
 def _graph(edges, n, labels=None, d=2):
@@ -226,16 +228,39 @@ def _reference_norm(graph, k):
     return (d_mat @ with_loops @ d_mat).tocsr()
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("n,seed", [(12, 0), (60, 1), (300, 2)])
-def test_norm_arrays_match_coo_reference(k, n, seed):
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n,seed,m", [
+    pytest.param(12, 0, 36, id="12-0"),
+    pytest.param(60, 1, 180, id="60-1"),
+    pytest.param(300, 2, 900, id="300-2"),
+    pytest.param(40, 3, 12, id="isolated"),  # 12 random pairs touch at most 24 of the 40 nodes
+    pytest.param(7, 4, 0, id="edgeless"),
+])
+def test_norm_arrays_match_coo_reference(k, n, seed, m):
     rng = np.random.default_rng(seed)
-    edges = rng.integers(0, n, size=(3 * n, 2))
+    edges = rng.integers(0, n, size=(m, 2))
     g = _graph(edges, n=n)
+    assert m >= n or (g.degrees == 0).any()
     got, want = k_hop_adjacency(g, k).norm, _reference_norm(g, k)
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_k_hop_traced_peak_is_near_the_view(k):
+    # the power and the self-loop add are boolean patterns; float64 is allocated once, for norm's data
+    g = generate_graph(SynthConfig(n=3000, seed=7))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        norm = k_hop_adjacency(g, k).norm
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    held = norm.data.nbytes + norm.indices.nbytes + norm.indptr.nbytes
+    assert peak <= 2.25 * held
 
 
 def test_node_homophily_examples():

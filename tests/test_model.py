@@ -67,6 +67,8 @@ def test_init_rejects_zero_width():
     ({"learning_rate": 0.0}, "learning_rate must be positive, got 0.0"),
     ({"learning_rate": -0.01}, "learning_rate must be positive, got -0.01"),
     ({"weight_decay": -1e-4}, "weight_decay must be >= 0, got -0.0001"),
+    ({"learning_rate": float("nan")}, "learning_rate must be positive, got nan"),
+    ({"weight_decay": float("nan")}, "weight_decay must be >= 0, got nan"),
 ])
 def test_train_config_rejects_out_of_range_settings(settings, message):
     with pytest.raises(ValueError, match=message):

@@ -113,6 +113,9 @@ def test_unknown_variant_rejected(small_graph):
     ("delta_h", -0.1, "delta_h must be >= 0, got -0.1"),
     ("lambda_s", -1.0, "lambda_s and lambda_d must be >= 0"),
     ("lambda_d", -1.0, "lambda_s and lambda_d must be >= 0"),
+    ("delta_h", float("nan"), "delta_h must be >= 0, got nan"),
+    ("lambda_s", float("nan"), "lambda_s and lambda_d must be >= 0"),
+    ("lambda_d", float("nan"), "lambda_s and lambda_d must be >= 0"),
     ("n_bins", 0, "n_bins and hop must be >= 1"),
     ("hop", 0, "n_bins and hop must be >= 1"),
 ])

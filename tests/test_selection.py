@@ -67,7 +67,8 @@ def test_optimize_rejects_a_non_finite_loss():
     problem = replace(problem, target=np.eye(problem.n_bins)[empty_bin] * problem.k)
     _, _, terms = selection_loss_and_grad(replace(problem, lambda_s=1.0), np.full(8, 3 / 8))
     assert np.isfinite(terms["cmd"]) and 1.0 < terms["kl"] < np.inf
-    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="selection loss non-finite at iteration 0"):
+    message = r"selection loss non-finite at iteration 0; diverged terms: \['lambda_s\*kl'\]"
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=message):
         optimize_selection(problem)
 
 
