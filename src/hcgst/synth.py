@@ -34,10 +34,10 @@ class SynthConfig:
             raise ValueError("target_histogram must be non-negative with positive sum")
         if self.classes < 1 or self.feature_dim < 1:
             raise ValueError(f"classes and feature_dim must be >= 1, got {self.classes} and {self.feature_dim}")
-        if self.mean_degree < 0:
+        if not self.mean_degree >= 0:
             raise ValueError(f"mean_degree must be >= 0, got {self.mean_degree}")
-        if self.separation < 0:
-            raise ValueError("separation must be >= 0")
+        if not self.separation >= 0:
+            raise ValueError(f"separation must be >= 0, got {self.separation}")
         if not 0 <= self.cross_structure <= 1:
             raise ValueError("cross_structure must lie in [0, 1]")
 

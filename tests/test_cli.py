@@ -76,7 +76,8 @@ def test_generate_rejects_bad_histogram(tmp_path):
 
 
 @pytest.mark.parametrize("flag, value", [("--mean-degree", "-2"), ("--classes", "0"),
-                                         ("--feature-dim", "0")])
+                                         ("--feature-dim", "0"), ("--mean-degree", "nan"),
+                                         ("--separation", "nan")])
 def test_generate_rejects_impossible_sizes(tmp_path, capsys, flag, value):
     out = tmp_path / "x"
     assert main(["generate", "--n", "40", flag, value, "--out", str(out)]) == 2

@@ -235,6 +235,7 @@ def _reference_norm(graph, k):
     pytest.param(300, 2, 900, id="300-2"),
     pytest.param(40, 3, 12, id="isolated"),  # 12 random pairs touch at most 24 of the 40 nodes
     pytest.param(7, 4, 0, id="edgeless"),
+    pytest.param(400, 5, 60000, id="blocks"),  # nnz > 84 000 at every k: _sym_normalize scales more than one block
 ])
 def test_norm_arrays_match_coo_reference(k, n, seed, m):
     rng = np.random.default_rng(seed)
@@ -249,7 +250,8 @@ def test_norm_arrays_match_coo_reference(k, n, seed, m):
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_k_hop_traced_peak_is_near_the_view(k):
-    # the power and the self-loop add are boolean patterns; float64 is allocated once, for norm's data
+    # the power and the self-loop add are boolean patterns, the diagonal is dropped in place, and
+    # float64 is allocated once, for norm's data, which is scaled in blocks
     g = generate_graph(SynthConfig(n=3000, seed=7))
     tracemalloc.start()
     try:
@@ -260,7 +262,29 @@ def test_k_hop_traced_peak_is_near_the_view(k):
     finally:
         tracemalloc.stop()
     held = norm.data.nbytes + norm.indices.nbytes + norm.indptr.nbytes
-    assert peak <= 2.25 * held
+    assert peak <= 1.5 * held
+
+
+@pytest.mark.parametrize("blocks, extra", [
+    pytest.param(0, 0, id="empty"),
+    pytest.param(1, -1, id="block-1"),
+    pytest.param(1, 0, id="block"),
+    pytest.param(1, 1, id="block+1"),
+    pytest.param(3, 17, id="blocks"),
+])
+def test_sym_normalize_matches_one_shot_scaling(blocks, extra):
+    nnz = blocks * graph_module._NORM_BLOCK + extra
+    n = nnz // 50
+    rng = np.random.default_rng(nnz)
+    counts = rng.multinomial(nnz - n, np.full(n, 1 / n)) + 1 if n else np.zeros(0, dtype=np.int64)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    indices = rng.integers(0, n, size=nnz).astype(np.int32) if n else np.zeros(0, dtype=np.int32)
+    pattern = sp.csr_matrix((np.ones(nnz, dtype=bool), indices, indptr), shape=(n, n))
+    got = graph_module._sym_normalize(pattern)
+    inv_sqrt = 1.0 / np.sqrt(counts)
+    want = np.repeat(inv_sqrt, counts) * inv_sqrt[indices]
+    assert np.array_equal(got.indices, indices) and np.array_equal(got.indptr, indptr)
+    assert got.data.dtype == want.dtype and got.data.tobytes() == want.tobytes()
 
 
 def test_node_homophily_examples():

@@ -530,9 +530,10 @@ def test_gradient_check_rejects_unlabelled_graph():
 
 def test_train_rejects_negative_lambda_dual():
     g = _two_blob_graph()
-    with pytest.raises(ValueError, match="lambda_dual"):
-        train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), (np.array([0]), g.labels[:1]),
-                   EMPTY, EMPTY, TrainConfig(epochs=1), -0.1)
+    for bad in (-0.1, float("nan")):  # NaN too: it fails every comparison
+        with pytest.raises(ValueError, match=f"lambda_dual must be >= 0, got {bad}"):
+            train_dual(init_params(3, 4, 4, 0), g, k_hop_adjacency(g, 1), (np.array([0]), g.labels[:1]),
+                       EMPTY, EMPTY, TrainConfig(epochs=1), bad)
 
 
 def test_gradient_finite_at_zero_params():

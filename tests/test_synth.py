@@ -82,7 +82,8 @@ def test_config_rejects_bad_histogram():
 
 @pytest.mark.parametrize("field, value", [("mean_degree", -2.0), ("classes", 0), ("feature_dim", 0),
                                           ("separation", -0.5), ("cross_structure", -0.1),
-                                          ("cross_structure", 1.5)])
+                                          ("cross_structure", 1.5), ("mean_degree", float("nan")),
+                                          ("separation", float("nan"))])
 def test_config_rejects_impossible_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         SynthConfig(**{field: value})
