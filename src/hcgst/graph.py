@@ -134,17 +134,6 @@ def _sym_normalize(with_loops: sp.csr_matrix) -> sp.csr_matrix:
     return sp.csr_matrix((data, with_loops.indices, with_loops.indptr), shape=with_loops.shape)
 
 
-def _drop_diagonal(power: sp.csr_matrix) -> sp.csr_matrix:
-    """``power`` without its diagonal entries, each row in its order; reuses ``power``'s arrays, compacted in place."""
-    n, indptr, indices = power.shape[0], power.indptr, power.indices
-    on_diag = indices == np.repeat(np.arange(n, dtype=indices.dtype), np.diff(indptr))
-    dropped = np.zeros(n + 1, dtype=indptr.dtype)
-    np.cumsum(np.bincount(indices[on_diag], minlength=n), out=dropped[1:])  # a row drops at most its one diagonal entry
-    kept = indices.size - int(dropped[-1])
-    indices[:kept] = indices[np.logical_not(on_diag, out=on_diag)]
-    return sp.csr_matrix((power.data[:kept], indices[:kept], indptr - dropped), shape=power.shape)
-
-
 def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
     """Binarized k-th adjacency power with zeroed diagonal.
 
@@ -164,7 +153,8 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
             raise ValueError(f"hop {k} view may hold {bound:.3g} entries, over the limit of {KHOP_ENTRY_LIMIT:.3g}")
         for _ in range(k - 1):
             power = power @ adj
-        power = _drop_diagonal(power)
+        power.setdiag(False)
+        power.eliminate_zeros()
     with_loops = power + sp.identity(graph.n, dtype=bool, format="csr")
     del adj, power  # only the pattern with self-loops is held while the float data is written
     return AdjacencyView(n=graph.n, norm=_sym_normalize(with_loops))
