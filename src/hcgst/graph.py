@@ -175,11 +175,17 @@ def true_homophily_profile(graph: Graph) -> np.ndarray:
     """Per-node homophily ratios over the whole graph (isolated nodes contribute 0)."""
     if graph.labels is None:
         raise ValueError("graph has no labels; homophily profile is undefined")
-    e0, e1 = graph.edges[:, 0], graph.edges[:, 1]
-    same = graph.labels[e0] == graph.labels[e1]
-    hits = np.bincount(np.concatenate([e0[same], e1[same]]), minlength=graph.n)
+    return _neighbour_agreement(graph, np.eye(graph.c)[graph.labels])
+
+
+def _neighbour_agreement(graph: Graph, rows: np.ndarray) -> np.ndarray:
+    """Per node i, the mean over neighbours j of rows[j] · rows[i]; 0 for isolated nodes.
+
+    ``graph.adj @ rows`` sums each node's neighbour rows in CSR order, one at a time.
+    """
+    degrees = graph.degrees
     out = np.zeros(graph.n, dtype=np.float64)
-    np.divide(hits, graph.degrees, out=out, where=graph.degrees > 0)
+    np.divide(((graph.adj @ rows) * rows).sum(axis=1), degrees, out=out, where=degrees > 0)
     return out
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, _ids
+from .graph import Graph, _ids, _neighbour_agreement
 
 
 def bin_index(ratios, n_bins: int) -> np.ndarray:
@@ -54,8 +54,8 @@ def estimate_node_homophily(soft_labels, graph: Graph, node: int) -> float:
     nb = graph.adj.indices[graph.adj.indptr[node]:graph.adj.indptr[node + 1]]
     if nb.size == 0:
         return 0.0
-    sims = unit[nb] @ unit[node]
-    return float(np.clip(np.mean(sims), 0.0, 1.0))
+    # summed as the profile sums: neighbour rows in CSR order, then the dot product
+    return float(np.clip((unit[nb].sum(axis=0) * unit[node]).sum() / nb.size, 0.0, 1.0))
 
 
 def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -> np.ndarray:
@@ -73,15 +73,7 @@ def estimate_homophily_profile(soft_labels, graph: Graph, label_override=None) -
                     unit.shape[1])
         unit[nodes] = 0.0
         unit[nodes, labs] = 1.0  # a one-hot row is its own unit vector
-    indptr, indices, degrees = graph.adj.indptr, graph.adj.indices, graph.degrees
-    out = np.zeros(graph.n, dtype=np.float64)
-    # Degree buckets keep the per-node gemv + pairwise mean bit-exact; edge-list reduceat/einsum round differently.
-    for d in np.flatnonzero(np.bincount(degrees)[1:]) + 1:
-        nodes = np.flatnonzero(degrees == d)
-        nbrs = indices[indptr[nodes][:, None] + np.arange(d)]
-        sims = np.matmul(unit[nbrs], unit[nodes][:, :, None])[..., 0]
-        out[nodes] = np.clip(sims.mean(axis=1), 0.0, 1.0)
-    return out
+    return np.clip(_neighbour_agreement(graph, unit), 0.0, 1.0)
 
 
 def target_distribution(global_counts, local_counts, k: int) -> np.ndarray:
@@ -91,7 +83,7 @@ def target_distribution(global_counts, local_counts, k: int) -> np.ndarray:
     target_i = max(ceil(fr_i * (k + |local|) - local_i), 0) with fr_i the
     global bin frequency.
     """
-    if k < 1:
+    if not k >= 1:
         raise ValueError(f"k must be >= 1, got {k}")
     g = np.asarray(global_counts, dtype=np.float64)
     local = np.asarray(local_counts, dtype=np.float64)

@@ -186,7 +186,7 @@ def kl_divergence_with_grad(p_counts, q_counts, eps: float = 1e-8):
 
     Returns (value, grad) with grad[j] = (ln(p_j/q_j) - KL) / sum(P + eps).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"smoothing eps must be positive, got {eps}")
     p_raw = np.asarray(p_counts, dtype=np.float64)
     q_raw = np.asarray(q_counts, dtype=np.float64)

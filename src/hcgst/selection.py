@@ -108,7 +108,7 @@ def project_capped_simplex(v, k: float) -> np.ndarray:
     Rounding can leave the clipped sum a few ulps above k; tau then moves up,
     by steps that double, until it is not, so the sum never exceeds k.
     """
-    if k < 0:
+    if not k >= 0:
         raise ValueError(f"budget k must be >= 0, got {k}")
     v = np.asarray(v, dtype=np.float64)
     q = np.clip(v, 0.0, 1.0)

@@ -30,8 +30,8 @@ class SynthConfig:
 
     def __post_init__(self):
         self.target_histogram = np.asarray(self.target_histogram, dtype=np.float64)
-        if np.any(self.target_histogram < 0) or self.target_histogram.sum() <= 0:
-            raise ValueError("target_histogram must be non-negative with positive sum")
+        if not (np.all(self.target_histogram >= 0) and 0 < self.target_histogram.sum() < np.inf):
+            raise ValueError("target_histogram must be finite and non-negative with positive sum")
         if self.classes < 1 or self.feature_dim < 1:
             raise ValueError(f"classes and feature_dim must be >= 1, got {self.classes} and {self.feature_dim}")
         if not self.mean_degree >= 0:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -70,9 +71,16 @@ def test_generate_meta_config_rebuilds_the_graph(tmp_path):
         assert (rebuilt / name).read_bytes() == (out / name).read_bytes()
 
 
-def test_generate_rejects_bad_histogram(tmp_path):
+def test_generate_rejects_bad_histogram(tmp_path, capsys):
     code = main(["generate", "--target-histogram", "0,0", "--out", str(tmp_path / "x")])
     assert code == 2
+    for bad in ("1,inf", "1,nan"):  # these used to reach rng.choice and leak a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["generate", "--n", "40", "--target-histogram", bad, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "target_histogram must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--mean-degree", "-2"), ("--classes", "0"),

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import shutil
 from pathlib import Path
 
@@ -80,6 +81,8 @@ def test_changed_step_size_reads_different_picks(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "seed 0: graph identical\n" in out and "meta.json" not in out
     assert "seed 0: differs in run JSON" in out and "stage 1 picks:" in out
+    assert "\n  run JSON hcgst: bin_report.acc_st: base " in out  # the field list under the differs line
+    assert "  run JSON hcgst: ... and " in out
 
 
 @pytest.mark.parametrize("module, old, new, anchor, imported", [
@@ -108,3 +111,41 @@ def test_empty_variant_entry_is_a_usage_error(tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "--variant 'hcgst,' has an empty entry" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
+
+
+def test_json_differences_name_each_differing_leaf_by_its_path():
+    base = {"test_acc": 0.5, "best_stage": 1, "stages": [{"selected": [3, 4], "h": 0.25}, {"h": 0.5}],
+            "flag": True, "gone": "x"}
+    change = {"test_acc": 0.5, "best_stage": 2, "stages": [{"selected": [3], "h": 0.25}, {"h": 0.75}],
+              "flag": 1, "new": None}
+    assert compare_runs.json_differences(base, change) == [
+        ("best_stage", 1, 2), ("stages[0].selected[1]", 4, compare_runs.MISSING),
+        ("stages[1].h", 0.5, 0.75), ("flag", True, 1), ("gone", "x", compare_runs.MISSING),
+        ("new", compare_runs.MISSING, None)]
+    assert compare_runs.json_differences(base, base) == []
+    assert compare_runs.json_differences({"a": [1.0]}, {"a": 1.0}) == [("a", [1.0], 1.0)]
+
+
+def test_ulps_counts_doubles_between_floats_of_one_sign():
+    x = 0.6850681787922894
+    assert compare_runs.ulps(x, x) == 0
+    assert compare_runs.ulps(x, math.nextafter(math.nextafter(x, 1), 1)) == 2
+    assert compare_runs.ulps(-x, math.nextafter(-x, -1)) == 1
+    assert compare_runs.ulps(1.0, math.nextafter(1.0, 0)) == 1  # across a power of two
+    for a, b in [(x, -x), (x, float("nan")), (x, float("inf")), (1, 2), (x, 1)]:
+        assert compare_runs.ulps(a, b) is None
+
+
+def test_field_lines_list_at_most_the_limit_with_both_values():
+    h = 0.8700938119915912
+    base = {"global_mean_est_h": h, "stages": [{"pseudo_mean_est_h": float(i)} for i in range(12)]}
+    change = {"global_mean_est_h": math.nextafter(h, 1),
+              "stages": [{"pseudo_mean_est_h": i + 0.5} for i in range(12)]}
+    lines = compare_runs.field_lines(base, change)
+    assert len(lines) == compare_runs.FIELD_LINES + 1
+    assert lines[0] == f"global_mean_est_h: base {h!r}  change {math.nextafter(h, 1)!r}  (1 ulp)"
+    assert lines[1] == "stages[0].pseudo_mean_est_h: base 0.0  change 0.5"  # too far apart for an ulp count
+    assert lines[2] == "stages[1].pseudo_mean_est_h: base 1.0  change 1.5"
+    assert lines[-1] == "... and 3 more fields"
+    assert compare_runs.field_lines({"best_stage": 1}, {"best_stage": 2}) == ["best_stage: base 1  change 2"]
+    assert compare_runs.field_lines(base, base) == []

@@ -111,7 +111,16 @@ def test_one_hot_estimate_matches_definition(seed):
     soft = _one_hot(g.labels, g.c)
     truth = true_homophily_profile(g)
     est = estimate_homophily_profile(soft, g)
-    assert np.max(np.abs(est - truth)) <= 1e-12
+    assert np.array_equal(est, truth)  # the truth is the same reduction over one-hot rows
+
+
+def test_one_hot_estimate_matches_definition_with_isolated_nodes_and_absent_classes():
+    # nodes 6-9 have no edge; classes 3 and 4 label no node
+    g = build_graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 0)], np.zeros((10, 1)),
+                    [0, 0, 1, 2, 2, 0, 1, 0, 2, 1], n_classes=5)
+    truth = true_homophily_profile(g)
+    assert np.array_equal(estimate_homophily_profile(_one_hot(g.labels, g.c), g), truth)
+    assert truth[6:].tolist() == [0.0] * 4 and truth[4] == 0.5
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -253,7 +262,7 @@ def test_target_rejects_zero_global():
         target_distribution(np.zeros(2), np.zeros(2), k=1)
 
 
-@pytest.mark.parametrize("k", [0, -2])
+@pytest.mark.parametrize("k", [0, -2, float("nan")])
 def test_target_rejects_k_below_one(k):
     with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
         target_distribution(np.ones(2), np.zeros(2), k=k)

@@ -253,7 +253,7 @@ def test_kl_rejects_negative_and_non_finite_counts(kl, p, q, message):
             kl(p, q)
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-8])
+@pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
 def test_kl_rejects_non_positive_eps(eps):
     with pytest.raises(ValueError, match=f"smoothing eps must be positive, got {eps}"):
         kl_divergence([1.0, 2.0], [1.0, 1.0], eps=eps)

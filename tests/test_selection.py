@@ -371,6 +371,8 @@ def test_projection_budget_holds_without_slack(problem):
 def test_projection_rejects_negative_budget():
     with pytest.raises(ValueError, match="budget"):
         project_capped_simplex(np.array([0.5, 0.2]), -1.0)
+    with pytest.raises(ValueError, match="budget k must be >= 0, got nan"):  # used to return all NaN
+        project_capped_simplex(np.array([0.5, 0.2]), float("nan"))
 
 
 @settings(max_examples=100, deadline=None)

@@ -78,6 +78,9 @@ def test_config_rejects_bad_histogram():
         SynthConfig(target_histogram=np.zeros(10))
     with pytest.raises(ValueError):
         SynthConfig(target_histogram=np.array([1.0, -0.5]))
+    for bad in (np.nan, np.inf):  # NaN used to pass; both used to fail only in rng.choice
+        with pytest.raises(ValueError, match="target_histogram must be finite and non-negative"):
+            SynthConfig(target_histogram=[1.0, bad])
 
 
 @pytest.mark.parametrize("field, value", [("mean_degree", -2.0), ("classes", 0), ("feature_dim", 0),

@@ -15,10 +15,12 @@ only ``generate`` writes). Each checkout then runs ``hcgst run --variant LIST
 --bias-mode heterophily_biased --stages S --seed s`` on the base checkout's
 graph (``--variant``, default ``hcgst``). Per seed it prints whether the
 outputs are byte-identical (each variant's run JSON without
-``generated_at``, ``stages.csv``, ``bins.csv`` and ``aggregate.csv``), per
-variant ``test_acc``, ``final_kl_true`` and ``best_stage`` of both sides, and
-per stage the picks only one side made, as the run JSON's
-``stages[].selected`` lists them. Before the seeds it prints ``help:
+``generated_at``, ``stages.csv``, ``bins.csv`` and ``aggregate.csv``). Under a
+``differs in`` line it lists the first 10 fields where each differing run JSON
+differs, with both values and, for two floats of one sign up to 2^20 ulp
+apart, how many ulp. Per variant it prints ``test_acc``, ``final_kl_true`` and
+``best_stage`` of both sides, and per stage the picks only one side made, as
+the run JSON's ``stages[].selected`` lists them. Before the seeds it prints ``help:
 identical`` or ``help: differs`` for the ``hcgst run --help``, ``hcgst sweep
 --help`` and ``hcgst generate --help`` texts of the two checkouts, and each
 checkout's line count of ``src/hcgst/*.py`` (as ``wc -l`` counts). Exits 0
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import struct
 import subprocess
 import sys
 import tempfile
@@ -38,6 +42,9 @@ from pathlib import Path
 OUTPUTS = ("stages.csv", "bins.csv", "aggregate.csv")
 GRAPH_FILES = ("edges.csv", "features.csv", "labels.csv", "meta.json")
 SIDES = ("base", "change")
+FIELD_LINES = 10  # differing fields listed per run JSON
+MISSING = "<missing>"  # the value of a key or list entry that one side lacks
+ULPS_SHOWN = 1 << 20  # floats further apart differ in value, not in rounding
 
 # Each snippet puts a checkout's SRC first on the path (`python -m` with PYTHONPATH
 # would put the working directory ahead of it).
@@ -85,6 +92,46 @@ def graph_differences(a: Path, b: Path) -> list:
     def read(path):
         return path.read_bytes() if path.exists() else None
     return [name for name in GRAPH_FILES if read(a / name) != read(b / name)]
+
+
+def json_differences(base, change, path: str = "") -> list:
+    """(path, base value, change value) for each leaf where two parsed JSON values
+    differ, in document order: ``stages[1].global_mean_est_h`` is that key of the
+    second stage. A key or list entry that one side lacks reads as MISSING there."""
+    if isinstance(base, dict) and isinstance(change, dict):
+        keys = list(base) + [key for key in change if key not in base]
+        return [diff for key in keys
+                for diff in json_differences(base.get(key, MISSING), change.get(key, MISSING),
+                                             f"{path}.{key}" if path else key)]
+    if isinstance(base, list) and isinstance(change, list):
+        return [diff for i in range(max(len(base), len(change)))
+                for diff in json_differences(base[i] if i < len(base) else MISSING,
+                                             change[i] if i < len(change) else MISSING, f"{path}[{i}]")]
+    if base == change and type(base) is type(change):
+        return []
+    return [(path, base, change)]
+
+
+def ulps(a, b):
+    """How many doubles apart two finite floats of one sign are, else None."""
+    if not (isinstance(a, float) and isinstance(b, float) and math.isfinite(a) and math.isfinite(b)
+            and (a < 0) == (b < 0)):
+        return None
+    bits = [struct.unpack("<q", struct.pack("<d", abs(x)))[0] for x in (a, b)]
+    return abs(bits[0] - bits[1])
+
+
+def field_lines(base, change) -> list:
+    """One line per differing field of two run reports, at most FIELD_LINES and a count of the rest."""
+    diffs = json_differences(base, change)
+    lines = []
+    for path, b, c in diffs[:FIELD_LINES]:
+        apart = ulps(b, c)
+        shown = apart is not None and apart <= ULPS_SHOWN
+        lines.append(f"{path}: base {b!r}  change {c!r}" + (f"  ({apart} ulp)" if shown else ""))
+    if len(diffs) > FIELD_LINES:
+        lines.append(f"... and {len(diffs) - FIELD_LINES} more fields")
+    return lines
 
 
 def run_side(checkout: Path, graph: Path, seed: int, stages: int, variants: list, out: Path) -> dict:
@@ -165,6 +212,10 @@ def main(argv=None) -> int:
             identical_all &= not differ
             print(f"seed {seed}: " + ("byte-identical" if not differ
                                       else "differs in " + ", ".join(differ)), flush=True)
+            for variant in variants:
+                if f"run JSON {variant}" in differ:
+                    for line in field_lines(*(sides[side]["reports"][variant] for side in SIDES)):
+                        print(f"  run JSON {variant}: {line}")
             for variant in variants:
                 reports = [sides[side]["reports"][variant] for side in SIDES]
                 for key in ("test_acc", "final_kl_true", "best_stage"):
