@@ -162,7 +162,7 @@ def _single_run(job):
     graph, opts, cfg = job
     partition = build_partition(graph, opts["label_rate"], opts["bias_mode"],
                                 cfg.n_bins, cfg.seed, opts["val_fraction"])
-    return run_self_training(graph, partition, cfg)
+    return run_self_training(graph, partition, cfg).to_dict()
 
 
 def _execute_runs(graph, opts, configs):
@@ -227,9 +227,8 @@ def _check_run_doc(path: Path, doc):
     return doc
 
 
-def _write_run_outputs(out_dir: Path, reports) -> None:
+def _write_run_outputs(out_dir: Path, dicts) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    dicts = [rep.to_dict() for rep in reports]
     for doc in dicts:
         _write_json(out_dir / f"run_{doc['variant']}_{doc['seed']}.json",
                     {**doc, "generated_at": datetime.now(timezone.utc).isoformat()})
@@ -284,8 +283,7 @@ def cmd_sweep(args) -> int:
     graph = load_graph_dir(opts["graph"])
     per_value = [_configs(opts, **{args.param: value}) for value in values]
     # one pool for every value's runs; the reports come back in config order
-    reports = [r.to_dict() for r in
-               _execute_runs(graph, opts, [cfg for configs in per_value for cfg in configs])]
+    reports = _execute_runs(graph, opts, [cfg for configs in per_value for cfg in configs])
     n = len(per_value[0])
     all_rows = []
     for i, value in enumerate(values):

@@ -83,7 +83,7 @@ def target_distribution(global_counts, local_counts, k: int) -> np.ndarray:
     target_i = max(ceil(fr_i * (k + |local|) - local_i), 0) with fr_i the
     global bin frequency.
     """
-    if not k >= 1:
+    if not 1 <= k < np.inf:
         raise ValueError(f"k must be >= 1, got {k}")
     g = np.asarray(global_counts, dtype=np.float64)
     local = np.asarray(local_counts, dtype=np.float64)

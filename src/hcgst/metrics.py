@@ -101,18 +101,6 @@ def cmd(x, y, cfg: CmdConfig = CmdConfig()) -> float:
     return float(sum(np.linalg.norm(mx - my) / scale**k for k, (mx, my) in enumerate(pairs, 1)))
 
 
-def _normalize_weights(x, weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (x.shape[0],):
-        raise ValueError(f"weights must have length {x.shape[0]}, got {w.shape}")
-    if np.any(w < 0) or np.any(w > 1):
-        raise ValueError("weights must lie in [0, 1]")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive total")
-    return w / total
-
-
 def cmd_fixed_terms(x, y, cfg: CmdConfig = CmdConfig()):
     """The part of a weighted CMD of X against Y that no weight vector changes:
     X as a checked sample matrix, Y's moments (mean, then central-moment means
@@ -133,10 +121,16 @@ def cmd_weighted_with_grad(x, weights, y, cfg: CmdConfig = CmdConfig(), fixed=No
     """
     x, y_moments, scale = cmd_fixed_terms(x, y, cfg) if fixed is None else fixed
     w_raw = np.asarray(weights, dtype=np.float64)
-    p = _normalize_weights(x, w_raw)
+    if w_raw.shape != (x.shape[0],):
+        raise ValueError(f"weights must have length {x.shape[0]}, got {w_raw.shape}")
+    if not np.all((w_raw >= 0) & (w_raw <= 1)):  # NaN fails both
+        raise ValueError("weights must lie in [0, 1]")
     total_w = w_raw.sum()
+    if total_w <= 0:
+        raise ValueError("weights must have positive total")
     if scale == 0.0:
         return 0.0, np.zeros_like(w_raw)
+    p = w_raw / total_w
 
     # a weight total near the float minimum overflows 1/W; the finiteness check below reports it
     with np.errstate(all="ignore"):
@@ -186,7 +180,7 @@ def kl_divergence_with_grad(p_counts, q_counts, eps: float = 1e-8):
 
     Returns (value, grad) with grad[j] = (ln(p_j/q_j) - KL) / sum(P + eps).
     """
-    if not eps > 0:
+    if not 0 < eps < np.inf:
         raise ValueError(f"smoothing eps must be positive, got {eps}")
     p_raw = np.asarray(p_counts, dtype=np.float64)
     q_raw = np.asarray(q_counts, dtype=np.float64)

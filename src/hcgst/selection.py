@@ -49,8 +49,8 @@ class SelectionProblem:
         target = np.asarray(self.target)
         if target.shape != (self.n_bins,):
             raise ValueError(f"target must have shape ({self.n_bins},), got {target.shape}")
-        if np.any(target < 0):
-            raise ValueError("target entries must be non-negative")
+        if not np.all((target >= 0) & (target < np.inf)):  # NaN fails both
+            raise ValueError("target entries must be finite and non-negative")
         # what L_q needs whatever q is, computed once: the CMD's fixed terms and each candidate's bin
         object.__setattr__(self, "cmd_fixed", cmd_fixed_terms(self.cand_repr, self.global_repr))
         object.__setattr__(self, "bins", bin_index(self.cand_homophily, self.n_bins))

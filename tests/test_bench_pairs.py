@@ -55,3 +55,45 @@ def test_failed_side_sets_exit_code(tmp_path, monkeypatch):
     assert bench_pairs.main([str(base), str(change), "--workload", "w", "--pairs", "1",
                              "--out", str(out)]) == 1
     assert json.loads(out.read_text())["workloads"]["w"]["summary"]["run_s"]["change_wins"] == 0
+
+
+@pytest.mark.parametrize("base, change, expected", [
+    ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.2, 1.3], "worse"),  # median 1.3 > 1.0 * 1.25
+    ([1.0, 1.0, 2.0, 2.0], [1.1, 1.9, 1.2, 1.8], "unresolved"),  # base IQR 1.0 > 0.25 * 1.5
+    ([1.0, 1.0, 2.0, 2.0], [0.5, 0.6, 0.7, 0.9], "within"),  # all change values below all base values
+    ([1.0, 1.0, 1.0, 1.1], [1.2, 1.2, 1.2, 1.2], "within"),  # 1.2 <= 1.25, IQR 0.025 <= 0.25
+])
+def test_verdict_against_bound(base, change, expected):
+    assert bench_pairs.verdict(base, change, 0.25) == expected
+
+
+def test_verdicts_come_from_the_base_benchmark_file(tmp_path, monkeypatch, capsys):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    (base / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+        {"name": "cpu_s", "unit": "s", "better": "lower"}]}))
+    values = {"run_s": {"base": [1.0, 1.0, 1.0, 1.0], "change": [1.3, 1.3, 1.3, 1.3]},
+              "setup_s": {"base": [1.0, 1.0, 2.0, 2.0], "change": [1.1, 1.9, 1.2, 1.8]},
+              "peak_rss_mb": {"base": [70, 70, 70, 70], "change": [71, 70, 69, 70]},
+              "cpu_s": {"base": [1.0, 1.0, 1.0, 1.0], "change": [9.0, 9.0, 9.0, 9.0]}}
+
+    def fake_run(checkout, workload, seed):
+        metrics = {name: {"value": v[checkout.name][seed], "unit": "s"} for name, v in values.items()}
+        return {"correct": True, "attempted": 1, "failed": 0, "metrics": metrics, "exit": 0}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(base), str(change), "--workload", "w", "--pairs", "4",
+                             "--out", str(out)]) == 0  # a worse verdict leaves the exit status
+    summary = json.loads(out.read_text())["workloads"]["w"]["summary"]
+    assert {name: (s.get("bound"), s.get("verdict")) for name, s in summary.items()} == {
+        "run_s": (0.25, "worse"), "setup_s": (0.25, "unresolved"),
+        "peak_rss_mb": (0.05, "within"), "cpu_s": (None, None)}
+    printed = capsys.readouterr().out.splitlines()
+    summary_lines = {line.split()[0]: line for line in printed[printed.index("w: 4 pairs") + 1:]}
+    assert summary_lines["run_s"].endswith("worse (bound 0.25)")
+    assert summary_lines["setup_s"].endswith("unresolved (bound 0.25)")
+    assert summary_lines["peak_rss_mb"].endswith("within (bound 0.05)")
+    assert "bound" not in summary_lines["cpu_s"]

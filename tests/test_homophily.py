@@ -262,7 +262,7 @@ def test_target_rejects_zero_global():
         target_distribution(np.zeros(2), np.zeros(2), k=1)
 
 
-@pytest.mark.parametrize("k", [0, -2, float("nan")])
+@pytest.mark.parametrize("k", [0, -2, float("nan"), float("inf")])
 def test_target_rejects_k_below_one(k):
     with pytest.raises(ValueError, match=f"k must be >= 1, got {k}"):
         target_distribution(np.ones(2), np.zeros(2), k=k)

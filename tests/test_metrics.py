@@ -208,6 +208,8 @@ def test_cmd_weighted_rejects_weights_of_another_length():
 def test_cmd_weighted_rejects_out_of_box_weights():
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
         cmd_weighted_with_grad(np.zeros((2, 2)), [0.5, 1.5], np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):  # NaN fails the box
+        cmd_weighted_with_grad([[0.0], [1.0], [2.0]], [np.nan, 0.5, 0.5], [[0.5], [1.5]])
 
 
 def test_kl_identical_is_zero():
@@ -253,7 +255,7 @@ def test_kl_rejects_negative_and_non_finite_counts(kl, p, q, message):
             kl(p, q)
 
 
-@pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+@pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf")])
 def test_kl_rejects_non_positive_eps(eps):
     with pytest.raises(ValueError, match=f"smoothing eps must be positive, got {eps}"):
         kl_divergence([1.0, 2.0], [1.0, 1.0], eps=eps)

@@ -40,6 +40,9 @@ def test_problem_rejects_homophily_outside_unit_interval():
 def test_problem_rejects_negative_target_entry():
     with pytest.raises(ValueError, match="non-negative"):
         replace(_random_problem(0), target=np.array([1.0, 0.0, -1.0, 2.0, 0.0]))
+    for bad in (np.nan, np.inf):  # rejected when built, not at the first loss call
+        with pytest.raises(ValueError, match="target entries must be finite and non-negative"):
+            replace(_random_problem(0), target=np.array([1.0, 0.0, bad, 2.0, 0.0]))
 
 
 @pytest.mark.parametrize("change, message", [({"cand_repr": np.full((8, 3), np.nan)}, "non-finite"),

@@ -11,8 +11,10 @@ per metric the medians and quartiles of both sides, how many pairs the
 change won (a win is a lower value, as for every end-to-end metric of
 BENCHMARK.json, and ties count for neither) and, for a metric whose base
 values are all positive, the median, minimum and maximum of the per-pair
-ratio change/base. Writes the same to ``--out``, adding to the workloads an
-existing file already holds.
+ratio change/base. Each metric that the base checkout's BENCHMARK.json
+lists under ``end_to_end`` with a bound also gets a verdict against that
+bound (see :func:`verdict`). Writes the same to ``--out``, adding to the
+workloads an existing file already holds.
 """
 
 from __future__ import annotations
@@ -51,9 +53,32 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
-def summarize(pairs) -> dict:
-    """Per metric present on both sides of every pair: quartiles of each side, the change's wins
-    and, where every base value is positive, the median and range of the ratios change/base."""
+def read_bounds(checkout: Path) -> dict:
+    """Bound of each lower-is-better end-to-end metric in the checkout's BENCHMARK.json,
+    by name; empty when the file is absent."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m["bound"] for m in json.loads(path.read_text()).get("end_to_end", [])
+            if "bound" in m and m.get("better", "lower") == "lower"}
+
+
+def verdict(base, change, bound: float) -> str:
+    """``worse`` when the change's median is above the base median times (1 + bound);
+    else ``unresolved`` when the base's interquartile range exceeds bound times its
+    median, unless every change value is below every base value; else ``within``."""
+    q1, med, q3 = quartiles(base)
+    if statistics.median(change) > med * (1 + bound):
+        return "worse"
+    if q3 - q1 > bound * med and not max(change) < min(base):
+        return "unresolved"
+    return "within"
+
+
+def summarize(pairs, bounds: dict) -> dict:
+    """Per metric present on both sides of every pair: quartiles of each side, the change's wins,
+    where every base value is positive the median and range of the ratios change/base and,
+    where ``bounds`` names the metric, its bound and :func:`verdict`."""
     names = set.intersection(*(set(p[side]["metrics"]) for p in pairs for side in SIDES))
     out = {}
     for name in sorted(names):
@@ -68,6 +93,9 @@ def summarize(pairs) -> dict:
             ratios = [c / b for b, c in zip(values["base"], values["change"])]
             entry["ratio"] = {"median": statistics.median(ratios), "min": min(ratios),
                               "max": max(ratios)}
+        if name in bounds:
+            entry["bound"] = bounds[name]
+            entry["verdict"] = verdict(values["base"], values["change"], bounds[name])
         out[name] = entry
     return out
 
@@ -102,14 +130,15 @@ def main(argv=None) -> int:
                 b, c = (pair[side]["metrics"][name]["value"] for side in SIDES)
                 print(f"  {name:26s} base {b:.6g}  change {c:.6g}", flush=True)
 
-    summary = summarize(pairs)
+    summary = summarize(pairs, read_bounds(args.base))
     print(f"{args.workload}: {args.pairs} pairs")
     for name, s in summary.items():
         b, c, r = s["base"], s["change"], s.get("ratio")
         print(f"  {name:26s} base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]  "
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"change wins {s['change_wins']}/{s['pairs']}"
-              + (f"  ratio {r['median']:.4g} [{r['min']:.4g}, {r['max']:.4g}]" if r else ""))
+              + (f"  ratio {r['median']:.4g} [{r['min']:.4g}, {r['max']:.4g}]" if r else "")
+              + (f"  {s['verdict']} (bound {s['bound']:g})" if "verdict" in s else ""))
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
     doc.setdefault("host", {"machine": platform.machine(), "cpus": os.cpu_count(),
