@@ -60,9 +60,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:  # NaN fails every comparison
+        if not 0 < self.learning_rate < np.inf:  # NaN fails every comparison
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not self.weight_decay >= 0:
+        if not 0 <= self.weight_decay < np.inf:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
@@ -151,7 +151,8 @@ def forward(params: ModelParams, view, features) -> np.ndarray:
         raise ValueError(f"adjacency view has {view.n} nodes but features have {x.shape[0]} rows")
     if x.shape[1] != params.w1.shape[0]:
         raise ValueError(f"feature dim {x.shape[1]} does not match model input dim {params.w1.shape[0]}")
-    act1 = np.maximum((view.norm @ x) @ params.w1, 0.0)
+    act1 = (view.norm @ x) @ params.w1
+    np.maximum(act1, 0.0, out=act1)
     return view.norm @ (act1 @ (params.w2 @ params.w_main))
 
 
@@ -160,12 +161,17 @@ def predict(params: ModelParams, view, features) -> np.ndarray:
     return np.argmax(forward(params, view, features), axis=1)
 
 
-def _cross_entropy_rows(logits_rows, y):
+def _cross_entropy_rows(logits_rows, label_at, ends):
+    """Each mean cross entropy of rows [0, ends[0]), [ends[0], ends[1]), ... against the labels at
+    flat positions ``label_at``, and the gradient rows, each such run divided by its row count."""
     shifted, e, z = _shifted_exp(logits_rows)
-    losses = np.log(z) - shifted[np.arange(len(y)), y]
+    losses = np.log(z) - shifted.reshape(-1)[label_at]
     grad_rows = e / z[:, None]  # softmax_rows(logits_rows), bit for bit
-    grad_rows[np.arange(len(y)), y] -= 1.0
-    return float(losses.mean()), grad_rows / len(y)
+    grad_rows.reshape(-1)[label_at] -= 1.0
+    spans = list(zip((0, *ends), ends))
+    for lo, hi in spans:
+        grad_rows[lo:hi] /= hi - lo
+    return [float(losses[lo:hi].mean()) for lo, hi in spans], grad_rows
 
 
 class TrainingRows:
@@ -190,13 +196,26 @@ class TrainingRows:
         self.main_y = np.asarray(main_y, dtype=np.int64)
         self.left_y = np.asarray(left_y, dtype=np.int64)
         self._work = {}
+        self._heads = None
 
     def buffer(self, name: str, shape: tuple) -> np.ndarray:
-        """A float64 work array kept across epochs; its contents are not kept."""
+        """A float64 work array kept across epochs, zero when new."""
         buf = self._work.get(name)
         if buf is None or buf.shape != shape:
-            buf = self._work[name] = np.empty(shape)
+            buf = self._work[name] = np.zeros(shape)
         return buf
+
+    def head_positions(self, c: int):
+        """(gather, label_at, ends) of the cross entropy at c classes, built once: the flat
+        positions in Z of the main head's main rows, then of the pseudo head's leftover rows;
+        the flat positions of their labels in the gathered matrix; where each head's rows end."""
+        if self._heads is None or self._heads[0] != c:
+            width = 2 * c if len(self.left_pos) else c
+            gather = np.concatenate([self.main_pos * width, self.left_pos * width + c])[:, None] + np.arange(c)
+            labels = np.concatenate([self.main_y, self.left_y])
+            ends = (len(self.main_pos), len(labels))[:width // c]
+            self._heads = c, gather, np.arange(len(labels)) * c + labels, ends
+        return self._heads[1:]
 
 
 def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: float,
@@ -212,8 +231,9 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     W2 is folded into the heads, V = W2·[W_main | W_pseudo], so the second
     aggregation and its backward pass run 2c columns wide, not hidden wide:
     Z = Â[R]·(act1·V) holds both heads' logits, S = Â[R]ᵀ·dZ, and the
-    gradients follow from S and T = act1ᵀ·S. act1, d act1 and dZ live in
-    ``rows``' work arrays.
+    gradients follow from S and T = act1ᵀ·S. act1 and dZ live in ``rows``'
+    work arrays, d act1 overwrites act1 once the ReLU mask is taken, and one
+    cross-entropy pass serves both heads' label rows.
     """
     act1 = rows.buffer("act1", (rows.x1.shape[0], params.w1.shape[1]))
     np.matmul(rows.x1, params.w1, out=act1)
@@ -226,15 +246,13 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     if not np.all(np.isfinite(z)):
         raise RuntimeError("training logits became non-finite")  # the parameters diverged
 
-    zm = z[:, :c]
-    loss, d_rows = _cross_entropy_rows(zm[rows.main_pos], rows.main_y)
-    dz = rows.buffer("dz", z.shape)
-    dz.fill(0.0)
-    dz[rows.main_pos, :c] = d_rows
+    gather, label_at, ends = rows.head_positions(c)
+    (loss, *loss_pseudo), d_rows = _cross_entropy_rows(np.take(z, gather), label_at, ends)
     if pseudo_on:
-        loss_pseudo, d_rows_p = _cross_entropy_rows(z[rows.left_pos, c:], rows.left_y)
-        loss += lambda_dual * loss_pseudo
-        dz[rows.left_pos, c:] = lambda_dual * d_rows_p
+        loss += lambda_dual * loss_pseudo[0]
+        d_rows[ends[0]:] *= lambda_dual
+    dz = rows.buffer("dz", z.shape)  # the entries outside the label rows stay 0
+    np.put(dz, gather, d_rows)
 
     s = rows.a_rows_t @ dz  # (n, c or 2c): gradient of act1·V
     t = (s.T @ act1).T      # gradient of V; the same bits as act1ᵀ·S, faster
@@ -244,13 +262,13 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     grads.w_main[:] = d_heads[:, :c] + weight_decay * params.w_main
     if pseudo_on:
         grads.w_pseudo[:] = d_heads[:, c:]
-    dact1 = rows.buffer("dact1", act1.shape)
-    np.matmul(s, v.T, out=dact1)
-    np.multiply(dact1, act1 > 0, out=dact1)  # ReLU backward, in place
+    relu = act1 > 0
+    dact1 = np.matmul(s, v.T, out=act1)
+    np.multiply(dact1, relu, out=dact1)  # ReLU backward, in place
     grads.w1[:] = rows.x1.T @ dact1 + weight_decay * params.w1
 
     loss += 0.5 * weight_decay * (np.sum(params.w1**2) + np.sum(params.w2**2) + np.sum(params.w_main**2))
-    return loss, grads, zm
+    return loss, grads, z[:, :c]
 
 
 def _check_label_sets(name, nodes, labels, n, c):
@@ -293,6 +311,7 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
     cur = params.copy()
     state_m = np.zeros_like(cur.flat)  # Adam is elementwise: one step moves all four matrices
     state_v = np.zeros_like(cur.flat)
+    step, scale = np.empty_like(cur.flat), np.empty_like(cur.flat)  # scratch of each step
     best = None  # (acc, params copy)
 
     for epoch in range(cfg.epochs + 1):  # the last pass checks the final parameters, no step
@@ -307,11 +326,19 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
             break
         t = epoch + 1
         g = grads.flat
-        state_m = _ADAM_B1 * state_m + (1 - _ADAM_B1) * g
-        state_v = _ADAM_B2 * state_v + (1 - _ADAM_B2) * g * g
-        m_hat = state_m / (1 - _ADAM_B1**t)
-        v_hat = state_v / (1 - _ADAM_B2**t)
-        cur.flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+        # in place, the bits of m, v = b·m + (1-b)·g, b·v + (1-b)·g·g and lr·m_hat / (sqrt(v_hat) + eps)
+        state_m *= _ADAM_B1
+        state_m += np.multiply(g, 1 - _ADAM_B1, out=step)
+        np.multiply(g, 1 - _ADAM_B2, out=scale)
+        scale *= g
+        state_v *= _ADAM_B2
+        state_v += scale
+        np.divide(state_m, 1 - _ADAM_B1**t, out=step)
+        step *= cfg.learning_rate
+        np.sqrt(np.divide(state_v, 1 - _ADAM_B2**t, out=scale), out=scale)
+        scale += _ADAM_EPS
+        step /= scale
+        cur.flat -= step
     return cur if best is None else best[1]
 
 

@@ -52,7 +52,7 @@ class RunConfig:
             raise ValueError(f"delta_c must lie in (0, 1), got {self.delta_c}")
         if not self.delta_h >= 0:  # NaN fails every comparison
             raise ValueError(f"delta_h must be >= 0, got {self.delta_h}")
-        if not (self.lambda_s >= 0 and self.lambda_d >= 0):
+        if not (0 <= self.lambda_s < np.inf and 0 <= self.lambda_d < np.inf):
             raise ValueError("lambda_s and lambda_d must be >= 0")
         if self.n_bins < 1 or self.hop < 1:
             raise ValueError("n_bins and hop must be >= 1")

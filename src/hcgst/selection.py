@@ -42,8 +42,10 @@ class SelectionProblem:
         m = len(self.candidates)
         if m < 1:
             raise ValueError("selection problem needs at least one candidate")
-        if self.k < 1:
+        if not 1 <= self.k < np.inf:  # NaN fails both
             raise ValueError(f"k must be >= 1, got {self.k}")
+        if not 0 <= self.lambda_s < np.inf:
+            raise ValueError(f"lambda_s must be finite and >= 0, got {self.lambda_s}")
         if self.cand_repr.shape[0] != m or self.cand_homophily.shape[0] != m:
             raise ValueError("candidate representations and homophily must be co-indexed with candidates")
         target = np.asarray(self.target)

@@ -97,3 +97,27 @@ def test_verdicts_come_from_the_base_benchmark_file(tmp_path, monkeypatch, capsy
     assert summary_lines["setup_s"].endswith("unresolved (bound 0.25)")
     assert summary_lines["peak_rss_mb"].endswith("within (bound 0.05)")
     assert "bound" not in summary_lines["cpu_s"]
+
+
+_TENTHS = [1.0, 1.2] * 5  # median 1.1, quartiles 1.0 and 1.2
+
+
+@pytest.mark.parametrize("change, expected", [
+    ([0.8] * 10, "met"),  # 10/10 wins, median gap 0.3 > IQR 0.2
+    ([0.8] * 8 + [1.2, 1.3], "not met"),  # 8/10 wins: the tie and the loss count for neither
+    ([0.99, 1.19] * 5, "not met"),  # 10/10 wins, but the median gap 0.01 is inside the IQR
+])
+def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_base_iqr(change, expected):
+    assert bench_pairs.gain(_TENTHS, change) == expected
+
+
+def test_gain_is_in_the_summary_and_on_the_metric_line(tmp_path, monkeypatch, capsys):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed: {
+        "correct": True, "attempted": 1, "failed": 0, "exit": 0,
+        "metrics": {"run_s": {"value": (_TENTHS[seed], 0.8)[checkout.name == "change"], "unit": "s"}}})
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([str(base), str(change), "--workload", "w", "--pairs", "10",
+                             "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["w"]["summary"]["run_s"]["gain"] == "met"
+    assert "change wins 10/10  ratio 0.7333 [0.6667, 0.8]  gain met" in capsys.readouterr().out

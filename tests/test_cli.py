@@ -296,6 +296,10 @@ def test_run_over_the_k_hop_limit_is_config_error(tmp_path, capsys, monkeypatch)
     ("run", ["--weight-decay", "-5"], "weight_decay must be >= 0"),
     ("sweep", ["--param", "lambda_d", "--values", ""], "could not convert"),
     ("run", ["--delta-h", "nan"], "delta_h must be >= 0, got nan"),
+    ("run", ["--lambda-s", "inf"], "lambda_s and lambda_d must be >= 0"),
+    ("run", ["--lambda-d", "inf"], "lambda_s and lambda_d must be >= 0"),
+    ("run", ["--learning-rate", "inf"], "learning_rate must be positive, got inf"),
+    ("run", ["--weight-decay", "inf"], "weight_decay must be >= 0, got inf"),
 ])
 def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, command, bad, message):
     graph = _generate(tmp_path)

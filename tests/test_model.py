@@ -1,5 +1,6 @@
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,8 @@ def test_init_rejects_zero_width():
     ({"weight_decay": -1e-4}, "weight_decay must be >= 0, got -0.0001"),
     ({"learning_rate": float("nan")}, "learning_rate must be positive, got nan"),
     ({"weight_decay": float("nan")}, "weight_decay must be >= 0, got nan"),
+    ({"learning_rate": float("inf")}, "learning_rate must be positive, got inf"),
+    ({"weight_decay": float("inf")}, "weight_decay must be >= 0, got inf"),
 ])
 def test_train_config_rejects_out_of_range_settings(settings, message):
     with pytest.raises(ValueError, match=message):
@@ -569,14 +572,15 @@ def _logit_rows(draw):
 @given(_logit_rows())
 def test_fused_cross_entropy_equals_two_exp_version(problem):
     logits, y = problem
+    label_at = np.arange(len(y)) * logits.shape[1] + y  # flat positions of the labels
     with np.errstate(all="ignore"):
         try:
             want = _two_exp_cross_entropy(logits, y)
         except ValueError as err:
             with pytest.raises(ValueError, match=re.escape(str(err))):
-                _cross_entropy_rows(logits, y)
+                _cross_entropy_rows(logits, label_at, [len(y)])
             return
-    loss, grad = _cross_entropy_rows(logits, y)
+    (loss,), grad = _cross_entropy_rows(logits, label_at, [len(y)])
     assert loss == want[0]
     assert np.array_equal(grad, want[1])
 
@@ -658,3 +662,33 @@ def test_blas_thread_count_is_restored(blas_threads):
     partition = make_partition(g.n, train_sets[0][0], val[0])
     run_self_training(g, partition, RunConfig(stages=1, train=TrainConfig(epochs=2)))
     assert get() == 2
+
+
+def _traced_peak(call):
+    """Traced bytes at the peak of ``call()`` above what was held before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("what, ratio", [("forward", 1.75), ("no leftover", 2.5), ("half leftover", 3.5)])
+def test_traced_peak_in_units_of_the_hidden_activation(what, ratio):
+    # forward's ReLU runs in place, and training writes d act1 into act1's buffer, so neither
+    # holds a second n x hidden float64 array
+    g = generate_graph(SynthConfig(n=2000, seed=7))
+    view = k_hop_adjacency(g, 1)
+    params = init_params(g.d, 32, g.c, 0)
+    order = np.random.default_rng(0).permutation(g.n)
+    main, half = order[:100], order[100:100 + g.n // 2]
+    left = (half, g.labels[half]) if what == "half leftover" else EMPTY
+    if what == "forward":
+        peak = _traced_peak(lambda: forward(params, view, g.features))
+    else:
+        peak = _traced_peak(lambda: train_dual(params, g, view, (main, g.labels[main]), EMPTY, left,
+                                               TrainConfig(epochs=3), 0.09))
+    assert peak <= ratio * g.n * 32 * 8

@@ -118,6 +118,8 @@ def test_unknown_variant_rejected(small_graph):
     ("lambda_d", float("nan"), "lambda_s and lambda_d must be >= 0"),
     ("n_bins", 0, "n_bins and hop must be >= 1"),
     ("hop", 0, "n_bins and hop must be >= 1"),
+    ("lambda_s", float("inf"), "lambda_s and lambda_d must be >= 0"),
+    ("lambda_d", float("inf"), "lambda_s and lambda_d must be >= 0"),
 ])
 def test_run_config_rejects_out_of_range_fields(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -63,6 +63,18 @@ def test_problem_rejects_inconsistent_sizes(change, message):
         replace(_random_problem(0), **change)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"k": np.nan}, "k must be >= 1, got nan"),
+    ({"k": np.inf}, "k must be >= 1, got inf"),
+    ({"lambda_s": -1.0}, "lambda_s must be finite and >= 0, got -1.0"),
+    ({"lambda_s": np.nan}, "lambda_s must be finite and >= 0, got nan"),
+    ({"lambda_s": np.inf}, "lambda_s must be finite and >= 0, got inf"),
+])
+def test_problem_rejects_non_finite_budget_and_weight(change, message):
+    with pytest.raises(ValueError, match=message):
+        replace(_random_problem(0), **change)
+
+
 def test_optimize_rejects_a_non_finite_loss():
     # all the target in a bin no candidate falls in: KL > 1, so the largest lambda_s overflows L_q
     problem = _random_problem(0, lambda_s=np.finfo(np.float64).max)

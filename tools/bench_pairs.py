@@ -11,10 +11,11 @@ per metric the medians and quartiles of both sides, how many pairs the
 change won (a win is a lower value, as for every end-to-end metric of
 BENCHMARK.json, and ties count for neither) and, for a metric whose base
 values are all positive, the median, minimum and maximum of the per-pair
-ratio change/base. Each metric that the base checkout's BENCHMARK.json
-lists under ``end_to_end`` with a bound also gets a verdict against that
-bound (see :func:`verdict`). Writes the same to ``--out``, adding to the
-workloads an existing file already holds.
+ratio change/base, and whether the pairs show a gain (see :func:`gain`).
+Each metric that the base checkout's BENCHMARK.json lists under
+``end_to_end`` with a bound also gets a verdict against that bound (see
+:func:`verdict`). Writes the same to ``--out``, adding to the workloads an
+existing file already holds.
 """
 
 from __future__ import annotations
@@ -75,10 +76,19 @@ def verdict(base, change, bound: float) -> str:
     return "within"
 
 
+def gain(base, change) -> str:
+    """``met`` when the change wins at least 9 in 10 pairs (a lower value; ties count for
+    neither) and the base median minus the change median exceeds the base's q3 - q1;
+    else ``not met``."""
+    wins = sum(c < b for b, c in zip(base, change))
+    q1, med, q3 = quartiles(base)
+    return "met" if 10 * wins >= 9 * len(base) and med - statistics.median(change) > q3 - q1 else "not met"
+
+
 def summarize(pairs, bounds: dict) -> dict:
     """Per metric present on both sides of every pair: quartiles of each side, the change's wins,
-    where every base value is positive the median and range of the ratios change/base and,
-    where ``bounds`` names the metric, its bound and :func:`verdict`."""
+    where every base value is positive the median and range of the ratios change/base, the
+    :func:`gain` and, where ``bounds`` names the metric, its bound and :func:`verdict`."""
     names = set.intersection(*(set(p[side]["metrics"]) for p in pairs for side in SIDES))
     out = {}
     for name in sorted(names):
@@ -93,6 +103,7 @@ def summarize(pairs, bounds: dict) -> dict:
             ratios = [c / b for b, c in zip(values["base"], values["change"])]
             entry["ratio"] = {"median": statistics.median(ratios), "min": min(ratios),
                               "max": max(ratios)}
+        entry["gain"] = gain(values["base"], values["change"])
         if name in bounds:
             entry["bound"] = bounds[name]
             entry["verdict"] = verdict(values["base"], values["change"], bounds[name])
@@ -138,6 +149,7 @@ def main(argv=None) -> int:
               f"change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"change wins {s['change_wins']}/{s['pairs']}"
               + (f"  ratio {r['median']:.4g} [{r['min']:.4g}, {r['max']:.4g}]" if r else "")
+              + f"  gain {s['gain']}"
               + (f"  {s['verdict']} (bound {s['bound']:g})" if "verdict" in s else ""))
 
     doc = json.loads(args.out.read_text()) if args.out.is_file() else {}
