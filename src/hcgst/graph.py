@@ -66,7 +66,7 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     bad = np.nonzero((pairs < 0) | (pairs >= n))[0]
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"edge record {i} = {tuple(pairs[i])} has endpoint outside [0, {n})")
+        raise ValueError(f"edge record {i} = {tuple(pairs[i].tolist())} has endpoint outside [0, {n})")
 
     keep = pairs[:, 0] != pairs[:, 1]
     pairs = pairs[keep]
@@ -246,7 +246,11 @@ def load_graph_dir(path) -> Graph:
     feat_file = path / "features.csv"
     if not feat_file.exists():
         raise ValueError(f"missing features.csv under {path}")
-    features = np.loadtxt(feat_file, delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():  # an empty file is reported below, by name
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        features = np.loadtxt(feat_file, delimiter=",", dtype=np.float64, ndmin=2)
+    if features.shape[0] == 0:
+        raise ValueError(f"{feat_file} has no rows")
 
     edge_file = path / "edges.csv"
     with open(edge_file, newline="") as f:

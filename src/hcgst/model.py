@@ -175,16 +175,20 @@ def _cross_entropy_rows(logits_rows, label_at, ends):
 
 
 class TrainingRows:
-    """Constants and work arrays of one training run on ``view``.
+    """Constants and work arrays of one training run on ``view`` of a model with
+    ``hidden`` units and ``c`` classes.
 
     The loss and the validation accuracy read only the rows
     R = sorted(main ∪ leftover ∪ validation), so the second aggregation runs
     on Â[R] alone; Â·X and Â[R]ᵀ do not depend on the parameters and are
     built once. Positions index into R; ``val_pos`` is empty without a
-    validation set.
+    validation set. ``gather`` holds the flat positions in Z of the main
+    head's main rows, then of the pseudo head's leftover rows; ``label_at``
+    the flat positions of their labels in the gathered matrix; ``ends`` where
+    each head's rows end.
     """
 
-    def __init__(self, view, features, main_idx, main_y, left_idx, left_y, val_idx=None):
+    def __init__(self, view, features, hidden, c, main_idx, main_y, left_idx, left_y, val_idx=None):
         sets = [np.asarray(idx, dtype=np.int64)  # main, leftover and validation nodes
                 for idx in (main_idx, left_idx, () if val_idx is None else val_idx)]
         rows = np.sort(np.concatenate(sets))
@@ -193,29 +197,13 @@ class TrainingRows:
         self.a_rows = view.norm[rows]    # (|R|, n) Â[R]
         self.a_rows_t = self.a_rows.T    # (n, |R|) Â[R]ᵀ, a CSC matrix
         self.main_pos, self.left_pos, self.val_pos = (np.searchsorted(rows, idx) for idx in sets)
-        self.main_y = np.asarray(main_y, dtype=np.int64)
-        self.left_y = np.asarray(left_y, dtype=np.int64)
-        self._work = {}
-        self._heads = None
-
-    def buffer(self, name: str, shape: tuple) -> np.ndarray:
-        """A float64 work array kept across epochs, zero when new."""
-        buf = self._work.get(name)
-        if buf is None or buf.shape != shape:
-            buf = self._work[name] = np.zeros(shape)
-        return buf
-
-    def head_positions(self, c: int):
-        """(gather, label_at, ends) of the cross entropy at c classes, built once: the flat
-        positions in Z of the main head's main rows, then of the pseudo head's leftover rows;
-        the flat positions of their labels in the gathered matrix; where each head's rows end."""
-        if self._heads is None or self._heads[0] != c:
-            width = 2 * c if len(self.left_pos) else c
-            gather = np.concatenate([self.main_pos * width, self.left_pos * width + c])[:, None] + np.arange(c)
-            labels = np.concatenate([self.main_y, self.left_y])
-            ends = (len(self.main_pos), len(labels))[:width // c]
-            self._heads = c, gather, np.arange(len(labels)) * c + labels, ends
-        return self._heads[1:]
+        width = 2 * c if len(self.left_pos) else c  # Z's columns: the main head, then the pseudo head's
+        self.act1 = np.empty((self.x1.shape[0], hidden))
+        self.dz = np.zeros((len(rows), width))  # the entries outside the label rows stay 0
+        self.gather = np.concatenate([self.main_pos * width, self.left_pos * width + c])[:, None] + np.arange(c)
+        labels = np.concatenate([np.asarray(y, dtype=np.int64) for y in (main_y, left_y)])
+        self.label_at = np.arange(len(labels)) * c + labels
+        self.ends = (len(self.main_pos), len(labels))[:width // c]
 
 
 def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: float,
@@ -231,14 +219,17 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     W2 is folded into the heads, V = W2·[W_main | W_pseudo], so the second
     aggregation and its backward pass run 2c columns wide, not hidden wide:
     Z = Â[R]·(act1·V) holds both heads' logits, S = Â[R]ᵀ·dZ, and the
-    gradients follow from S and T = act1ᵀ·S. act1 and dZ live in ``rows``'
-    work arrays, d act1 overwrites act1 once the ReLU mask is taken, and one
+    gradients follow from S and T = act1ᵀ·S. act1 and dZ are ``rows``' work
+    arrays, d act1 overwrites act1 once the ReLU mask is taken, and one
     cross-entropy pass serves both heads' label rows.
     """
-    act1 = rows.buffer("act1", (rows.x1.shape[0], params.w1.shape[1]))
+    hidden, c = params.w_main.shape
+    if (hidden, c) != (rows.act1.shape[1], rows.gather.shape[1]):
+        raise ValueError(f"model of hidden {hidden}, c {c} does not match training rows built for "
+                         f"hidden {rows.act1.shape[1]}, c {rows.gather.shape[1]}")
+    act1 = rows.act1
     np.matmul(rows.x1, params.w1, out=act1)
     np.maximum(act1, 0.0, out=act1)  # act1 > 0 exactly where the pre-activation is
-    c = params.w_main.shape[1]
     pseudo_on = len(rows.left_pos) > 0
     heads = np.hstack([params.w_main, params.w_pseudo]) if pseudo_on else params.w_main
     v = params.w2 @ heads
@@ -246,16 +237,14 @@ def dual_loss_and_grads(params: ModelParams, rows: TrainingRows, lambda_dual: fl
     if not np.all(np.isfinite(z)):
         raise RuntimeError("training logits became non-finite")  # the parameters diverged
 
-    gather, label_at, ends = rows.head_positions(c)
-    (loss, *loss_pseudo), d_rows = _cross_entropy_rows(np.take(z, gather), label_at, ends)
+    (loss, *loss_pseudo), d_rows = _cross_entropy_rows(np.take(z, rows.gather), rows.label_at, rows.ends)
     if pseudo_on:
         loss += lambda_dual * loss_pseudo[0]
-        d_rows[ends[0]:] *= lambda_dual
-    dz = rows.buffer("dz", z.shape)  # the entries outside the label rows stay 0
-    np.put(dz, gather, d_rows)
+        d_rows[rows.ends[0]:] *= lambda_dual
+    np.put(rows.dz, rows.gather, d_rows)
 
-    s = rows.a_rows_t @ dz  # (n, c or 2c): gradient of act1·V
-    t = (s.T @ act1).T      # gradient of V; the same bits as act1ᵀ·S, faster
+    s = rows.a_rows_t @ rows.dz  # (n, c or 2c): gradient of act1·V
+    t = (s.T @ act1).T           # gradient of V; the same bits as act1ᵀ·S, faster
     d_heads = params.w2.T @ t
     grads = ModelParams(*params.w1.shape, c)  # the pseudo head's part stays 0 when it is off
     grads.w2[:] = t @ heads.T + weight_decay * params.w2
@@ -305,13 +294,12 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
         raise ValueError("clean, consistent and leftover sets must be disjoint")
 
     val_idx, val_y = _check_label_sets("validation set", *(validation or ((), ())), n, c)
-    rows = TrainingRows(view, graph.features, np.concatenate([clean_idx, cons_idx]),
+    rows = TrainingRows(view, graph.features, *params.w_main.shape, np.concatenate([clean_idx, cons_idx]),
                         np.concatenate([clean_y, cons_y]), left_idx, left_y, val_idx)
 
     cur = params.copy()
     state_m = np.zeros_like(cur.flat)  # Adam is elementwise: one step moves all four matrices
     state_v = np.zeros_like(cur.flat)
-    step, scale = np.empty_like(cur.flat), np.empty_like(cur.flat)  # scratch of each step
     best = None  # (acc, params copy)
 
     for epoch in range(cfg.epochs + 1):  # the last pass checks the final parameters, no step
@@ -326,19 +314,11 @@ def train_dual(params: ModelParams, graph, view, clean_with_labels, pseudo_with_
             break
         t = epoch + 1
         g = grads.flat
-        # in place, the bits of m, v = b·m + (1-b)·g, b·v + (1-b)·g·g and lr·m_hat / (sqrt(v_hat) + eps)
-        state_m *= _ADAM_B1
-        state_m += np.multiply(g, 1 - _ADAM_B1, out=step)
-        np.multiply(g, 1 - _ADAM_B2, out=scale)
-        scale *= g
-        state_v *= _ADAM_B2
-        state_v += scale
-        np.divide(state_m, 1 - _ADAM_B1**t, out=step)
-        step *= cfg.learning_rate
-        np.sqrt(np.divide(state_v, 1 - _ADAM_B2**t, out=scale), out=scale)
-        scale += _ADAM_EPS
-        step /= scale
-        cur.flat -= step
+        state_m = _ADAM_B1 * state_m + (1 - _ADAM_B1) * g
+        state_v = _ADAM_B2 * state_v + (1 - _ADAM_B2) * g * g
+        m_hat = state_m / (1 - _ADAM_B1**t)
+        v_hat = state_v / (1 - _ADAM_B2**t)
+        cur.flat -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
     return cur if best is None else best[1]
 
 
@@ -352,7 +332,7 @@ def gradient_check(params: ModelParams, tiny_graph, cfg: TrainConfig, lambda_dua
         raise ValueError("gradient check needs a labelled graph")
     y = tiny_graph.labels
     nodes = np.arange(tiny_graph.n)
-    rows = TrainingRows(k_hop_adjacency(tiny_graph, 1), tiny_graph.features,
+    rows = TrainingRows(k_hop_adjacency(tiny_graph, 1), tiny_graph.features, *params.w_main.shape,
                         nodes[0::2], y[0::2], nodes[1::2], y[1::2])
     _, grads, _ = dual_loss_and_grads(params, rows, lambda_dual, cfg.weight_decay)
 

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import shutil
 from pathlib import Path
 
@@ -22,6 +23,20 @@ def test_parse_seeds():
     assert compare_runs.parse_seeds("0-4") == [0, 1, 2, 3, 4]
     assert compare_runs.parse_seeds("3") == [3]
     assert compare_runs.parse_seeds("0-1,5") == [0, 1, 5]
+    for bad, entry in (("3-1", "3-1"), ("0-4,", ""), ("", ""), ("0,x", "x")):
+        with pytest.raises(ValueError, match=re.escape(f"--seeds {bad!r}: entry {entry!r} names no seed")):
+            compare_runs.parse_seeds(bad)
+
+
+@pytest.mark.parametrize("seeds", ["3-1", "0-4,"])
+def test_seed_list_naming_no_seed_is_a_usage_error(tmp_path, capsys, seeds):
+    base, change = _checkout(tmp_path, "base"), _checkout(tmp_path, "change")
+    with pytest.raises(SystemExit) as exit_info:
+        compare_runs.main([str(base), str(change), "--seeds", seeds, "--work", str(tmp_path / "w")])
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "names no seed" in err  # no help text was compared
+    assert not (tmp_path / "w").exists()
 
 
 def test_tree_against_its_copy_reads_identical(tmp_path, capsys):

@@ -124,7 +124,7 @@ def test_neighbor_lists_match_append_loop(case):
 
 
 def test_build_rejects_bad_endpoint_with_index():
-    with pytest.raises(ValueError, match="record 1"):
+    with pytest.raises(ValueError, match=r"^edge record 1 = \(0, 5\) has endpoint outside \[0, 3\)$"):
         _graph([(0, 1), (0, 5)], n=3)
 
 
@@ -400,6 +400,16 @@ def test_load_header_only_is_edgeless_without_warning(tmp_path):
         warnings.simplefilter("error")
         g = load_graph_dir(d)
     assert g.n == 3 and g.n_edges == 0 and g.degrees.tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("edges_text, features_text", [("src,dst\n0,1\n", ""), ("src,dst\n", "\n\n")])
+def test_load_rejects_empty_features_by_name_without_warning(tmp_path, edges_text, features_text):
+    d = _edge_dir(tmp_path, edges_text)
+    (d / "features.csv").write_text(features_text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"features\.csv has no rows$"):
+            load_graph_dir(d)
 
 
 def test_load_rejects_missing_header(tmp_path):

@@ -196,9 +196,9 @@ def test_lambda_zero_matches_single_head_gradients():
     params = init_params(3, 5, 4, seed=4)
     main_idx = np.arange(0, 20, 2)
     pseudo_idx = np.arange(1, 20, 2)
-    _, dual, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, main_idx, g.labels[main_idx],
+    _, dual, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, 5, 4, main_idx, g.labels[main_idx],
                                                           pseudo_idx, g.labels[pseudo_idx]), 0.0, 5e-4)
-    _, single, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, main_idx, g.labels[main_idx],
+    _, single, _ = dual_loss_and_grads(params, TrainingRows(view, g.features, 5, 4, main_idx, g.labels[main_idx],
                                                             EMPTY[0], EMPTY[1]), 0.0, 5e-4)
     for key in ("w1", "w2", "w_main"):
         assert np.allclose(getattr(dual, key), getattr(single, key), atol=1e-15)
@@ -210,7 +210,7 @@ def test_empty_leftover_reduces_to_main_term():
     view = k_hop_adjacency(g, 1)
     params = init_params(3, 5, 4, seed=4)
     idx = np.arange(10)
-    tr = TrainingRows(view, g.features, idx, g.labels[idx], EMPTY[0], EMPTY[1])
+    tr = TrainingRows(view, g.features, 5, 4, idx, g.labels[idx], EMPTY[0], EMPTY[1])
     loss, _, zm = dual_loss_and_grads(params, tr, 0.09, 0.0)
     rows = zm[tr.main_pos] - zm[tr.main_pos].max(axis=1, keepdims=True)
     ce = np.mean(np.log(np.exp(rows).sum(axis=1)) - rows[np.arange(10), g.labels[idx]])
@@ -227,7 +227,7 @@ def test_training_loss_decreases_on_two_blob_graph():
         if epochs:
             cfg = TrainConfig(epochs=epochs, learning_rate=0.01, weight_decay=0.0)
             trained = train_dual(trained, g, view, (idx, g.labels), EMPTY, EMPTY, cfg, 0.09)
-        val, _, _ = dual_loss_and_grads(trained, TrainingRows(view, g.features, idx, g.labels,
+        val, _, _ = dual_loss_and_grads(trained, TrainingRows(view, g.features, 8, 4, idx, g.labels,
                                                               EMPTY[0], EMPTY[1]), 0.0, 0.0)
         return val
 
@@ -415,7 +415,7 @@ def _training_problems(draw):
 def test_row_restricted_loss_matches_full_graph_reference(problem, lam):
     g, params, y, main, left, val = problem
     view = k_hop_adjacency(g, 1)
-    tr = TrainingRows(view, g.features, main, y[main], left, y[left], val)
+    tr = TrainingRows(view, g.features, *params.w_main.shape, main, y[main], left, y[left], val)
     loss, grads, zm = dual_loss_and_grads(params, tr, lam, 5e-4)
     ref_loss, ref_grads, ref_zm = _reference_dual_loss_and_grads(
         params, view, g.features, main, y[main], left, y[left], lam, 5e-4)
@@ -436,7 +436,7 @@ def _plain_cross_entropy_rows(logits_rows, y):
     return float(losses.mean()), grad_rows / len(y)
 
 
-def _plain_dual_loss_and_grads(params, tr, lam, wd):
+def _plain_dual_loss_and_grads(params, tr, main_y, left_y, lam, wd):
     """dual_loss_and_grads with no work arrays or stored transposes, reading only
     x1, a_rows and the positions of ``tr``: the bits the fast version must keep."""
     pre1 = tr.x1 @ params.w1
@@ -447,11 +447,11 @@ def _plain_dual_loss_and_grads(params, tr, lam, wd):
     v = params.w2 @ heads
     z = tr.a_rows @ (act1 @ v)
     zm = z[:, :c]
-    loss, d_rows = _plain_cross_entropy_rows(zm[tr.main_pos], tr.main_y)
+    loss, d_rows = _plain_cross_entropy_rows(zm[tr.main_pos], main_y)
     dz = np.zeros_like(z)
     dz[tr.main_pos, :c] = d_rows
     if pseudo_on:
-        loss_pseudo, d_rows_p = _plain_cross_entropy_rows(z[tr.left_pos, c:], tr.left_y)
+        loss_pseudo, d_rows_p = _plain_cross_entropy_rows(z[tr.left_pos, c:], left_y)
         loss += lam * loss_pseudo
         dz[tr.left_pos, c:] = lam * d_rows_p
     s = tr.a_rows.T @ dz
@@ -469,25 +469,25 @@ def _plain_dual_loss_and_grads(params, tr, lam, wd):
 @given(_training_problems(), st.sampled_from([0.0, 0.09, 1.0]))
 def test_loss_and_grads_bit_identical_to_plain_version(problem, lam):
     g, params, y, main, left, val = problem
-    tr = TrainingRows(k_hop_adjacency(g, 1), g.features, main, y[main], left, y[left], val)
+    tr = TrainingRows(k_hop_adjacency(g, 1), g.features, *params.w_main.shape, main, y[main], left, y[left], val)
     for _ in range(2):  # the second call reuses the work arrays of the first
         with _one_blas_thread():  # as train_dual runs
             loss, grads, zm = dual_loss_and_grads(params, tr, lam, 5e-4)
-            want_loss, want_grads, want_zm = _plain_dual_loss_and_grads(params, tr, lam, 5e-4)
+            want_loss, want_grads, want_zm = _plain_dual_loss_and_grads(params, tr, y[main], y[left], lam, 5e-4)
         assert loss == want_loss
         assert np.array_equal(zm, want_zm)
         for key, want in want_grads.items():
             assert np.array_equal(getattr(grads, key), want), key
 
 
-def _plain_train_dual(params, rows, val_y, cfg, lam):
+def _plain_train_dual(params, rows, main_y, left_y, val_y, cfg, lam):
     """train_dual's loop with one Adam update per matrix and the plain loss."""
     cur = params.copy()
     state_m = {k: np.zeros_like(getattr(cur, k)) for k in _VIEWS}
     state_v = {k: np.zeros_like(getattr(cur, k)) for k in _VIEWS}
     best = None
     for epoch in range(cfg.epochs + 1):
-        _, grads, zm = _plain_dual_loss_and_grads(cur, rows, lam, cfg.weight_decay)
+        _, grads, zm = _plain_dual_loss_and_grads(cur, rows, main_y, left_y, lam, cfg.weight_decay)
         acc = float(np.mean(np.argmax(zm[rows.val_pos], axis=1) == val_y))
         if best is None or acc >= best[0]:
             best = (acc, cur.copy())
@@ -510,9 +510,9 @@ def test_train_dual_bit_identical_to_plain_loop():
     cfg = TrainConfig(epochs=20, learning_rate=0.01)
     init = init_params(g.d, 32, g.c, 0)
     trained = train_dual(init, g, view, main, EMPTY, left, cfg, 0.09, validation=val)
-    rows = TrainingRows(view, g.features, *main, *left, val[0])
+    rows = TrainingRows(view, g.features, 32, g.c, *main, *left, val[0])
     with _one_blas_thread():  # as train_dual runs
-        want = _plain_train_dual(init, rows, val[1], cfg, 0.09)
+        want = _plain_train_dual(init, rows, main[1], left[1], val[1], cfg, 0.09)
     assert np.array_equal(trained.flat, want.flat)
 
 
@@ -543,10 +543,22 @@ def test_gradient_finite_at_zero_params():
     g = _graph([(0, 1), (1, 2)], n=3, d=3, seed=1, labels=[0, 1, 0])
     params = init_params(3, 4, 2, seed=0)
     params.flat[:] = 0.0
-    tr = TrainingRows(k_hop_adjacency(g, 1), g.features, np.array([0, 2]), np.array([0, 0]),
+    tr = TrainingRows(k_hop_adjacency(g, 1), g.features, 4, 2, np.array([0, 2]), np.array([0, 0]),
                       np.array([1]), np.array([1]))
     _, grads, _ = dual_loss_and_grads(params, tr, 0.09, 5e-4)
     assert np.all(np.isfinite(grads.flat))
+
+
+@pytest.mark.parametrize("hidden, c", [(5, 2), (6, 4), (5, 8)])
+@pytest.mark.parametrize("with_leftover", [False, True])
+def test_rows_reject_a_model_of_another_shape(hidden, c, with_leftover):
+    g = _two_blob_graph()
+    idx = np.arange(0, 20, 2)
+    left = (idx + 1, g.labels[idx + 1]) if with_leftover else EMPTY
+    tr = TrainingRows(k_hop_adjacency(g, 1), g.features, 5, 4, idx, g.labels[idx], *left)
+    message = f"model of hidden {hidden}, c {c} does not match training rows built for hidden 5, c 4"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dual_loss_and_grads(init_params(3, hidden, c, seed=0), tr, 0.09, 5e-4)
 
 
 def _two_exp_cross_entropy(logits_rows, y):

@@ -63,11 +63,18 @@ graph.save_graph_dir(synth.generate_graph(cfg), out)
 
 
 def parse_seeds(text: str) -> list:
-    """'0-4' or '0,2,5' or '0-2,7' as a list of ints."""
+    """'0-4' or '0,2,5' or '0-2,7' as a list of ints; ValueError for an entry that names no seed,
+    such as an empty one or a range running backwards."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        try:
+            span = range(int(lo), int(hi or lo) + 1)
+        except ValueError:
+            span = range(0)
+        if not span:
+            raise ValueError(f"--seeds {text!r}: entry {part!r} names no seed")
+        seeds.extend(span)
     return seeds
 
 
@@ -181,6 +188,10 @@ def main(argv=None) -> int:
     variants = [v.strip() for v in args.variant.split(",")]
     if "" in variants:
         parser.error(f"--variant {args.variant!r} has an empty entry")
+    try:
+        seeds = parse_seeds(args.seeds)
+    except ValueError as err:
+        parser.error(str(err))
     for checkout in (args.base, args.change):
         if not (checkout / "src" / "hcgst").is_dir():
             parser.error(f"{checkout} has no src/hcgst")
@@ -194,7 +205,7 @@ def main(argv=None) -> int:
                                           for side, checkout in zip(SIDES, checkouts)), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = args.work or Path(tmp)
-        for seed in parse_seeds(args.seeds):
+        for seed in seeds:
             graphs = [work / f"{side}-graph-{seed}" for side in SIDES]
             for checkout, graph in zip(checkouts, graphs):
                 if args.fixture:
