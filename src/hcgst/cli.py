@@ -98,11 +98,19 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
                    help=f"runs in parallel, one core each (default {d['jobs']})")
 
 
+def _read_json(path):
+    """The JSON document in ``path``, or a ValueError naming ``path``."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except ValueError as err:  # undecodable bytes as well as bad JSON
+            raise ValueError(f"{path}: {err}") from None
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
     opts = dict(_RUN_DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config) as f:
-            loaded = json.load(f)
+        loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object, got {loaded!r}")
         unknown = set(loaded) - set(_RUN_DEFAULTS)
@@ -303,8 +311,7 @@ def cmd_report(args) -> int:
         raise ValueError(f"no run_*.json files under {run_dir}")
     dicts = []
     for path in files:
-        with open(path) as f:
-            dicts.append(_check_run_doc(path, json.load(f)))
+        dicts.append(_check_run_doc(path, _read_json(path)))
     header, rows = _aggregate_rows(dicts)
     out = Path(args.out) if args.out else run_dir / "aggregate.csv"
     _write_csv(out, header, rows)
@@ -353,7 +360,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except RuntimeError as err:

@@ -218,8 +218,6 @@ class NodePartition:
 
 
 def make_partition(n: int, labeled, validation) -> NodePartition:
-    labeled = np.asarray(labeled, dtype=np.int64)
-    validation = np.asarray(validation, dtype=np.int64)
     rest = np.setdiff1d(np.arange(n, dtype=np.int64), np.concatenate([labeled, validation]))
     return NodePartition(labeled=labeled, validation=validation, unlabeled=rest)
 
@@ -240,30 +238,24 @@ def save_graph_dir(graph: Graph, path) -> None:
             f.writelines(f"{y}\n" for y in graph.labels.tolist())
 
 
+def _read_csv(path, dtype, **kw) -> np.ndarray:
+    with warnings.catch_warnings():  # an empty file is judged by the caller
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", dtype=dtype, **kw)
+
+
 def load_graph_dir(path) -> Graph:
     """Load a graph directory; directed inputs are symmetrized."""
     path = Path(path)
-    feat_file = path / "features.csv"
-    if not feat_file.exists():
-        raise ValueError(f"missing features.csv under {path}")
-    with warnings.catch_warnings():  # an empty file is reported below, by name
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        features = np.loadtxt(feat_file, delimiter=",", dtype=np.float64, ndmin=2)
-    if features.shape[0] == 0:
-        raise ValueError(f"{feat_file} has no rows")
-
-    edge_file = path / "edges.csv"
+    feat_file, edge_file, lab_file = (path / f"{name}.csv" for name in ("features", "edges", "labels"))
+    features = _read_csv(feat_file, np.float64, ndmin=2)
+    labels = _read_csv(lab_file, np.int64, ndmin=1) if lab_file.exists() else None
+    for file, rows in ((feat_file, features), (lab_file, labels)):
+        if rows is not None and len(rows) == 0:
+            raise ValueError(f"{file} has no rows")
     with open(edge_file, newline="") as f:
         header = next(csv.reader(f), None)
     if header is None or [h.strip() for h in header] != ["src", "dst"]:
         raise ValueError("edges.csv must start with header 'src,dst'")
-    with warnings.catch_warnings():  # a header-only file is an edgeless graph
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        edges = np.loadtxt(edge_file, delimiter=",", skiprows=1, usecols=(0, 1), ndmin=2,
-                           dtype=np.int64)
-
-    labels = None
-    lab_file = path / "labels.csv"
-    if lab_file.exists():
-        labels = np.loadtxt(lab_file, delimiter=",", dtype=np.int64, ndmin=1)
+    edges = _read_csv(edge_file, np.int64, skiprows=1, usecols=(0, 1), ndmin=2)  # header only: no edges
     return build_graph(edges, features, labels)

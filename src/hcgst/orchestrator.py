@@ -58,6 +58,8 @@ class RunConfig:
             raise ValueError("n_bins and hop must be >= 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
+        if self.hidden < 1:
+            raise ValueError(f"hidden must be >= 1, got {self.hidden}")
 
 
 @dataclass

@@ -106,9 +106,12 @@ _TENTHS = [1.0, 1.2] * 5  # median 1.1, quartiles 1.0 and 1.2
     ([0.8] * 10, "met"),  # 10/10 wins, median gap 0.3 > IQR 0.2
     ([0.8] * 8 + [1.2, 1.3], "not met"),  # 8/10 wins: the tie and the loss count for neither
     ([0.99, 1.19] * 5, "not met"),  # 10/10 wins, but the median gap 0.01 is inside the IQR
+    ([0.9], "not met"),  # 1/1 wins and a gap beyond the zero IQR, but only one pair
+    ([0.9, 0.95, 0.91, 0.93], "not met"),  # 4/4 wins and a gap beyond the IQR, but only 4 pairs
 ])
 def test_gain_needs_nine_in_ten_wins_and_a_gap_beyond_the_base_iqr(change, expected):
-    assert bench_pairs.gain(_TENTHS, change) == expected
+    base = _TENTHS if len(change) == 10 else [1.0, 1.1, 1.05, 1.02][:len(change)]
+    assert bench_pairs.gain(base, change) == expected
 
 
 def test_gain_is_in_the_summary_and_on_the_metric_line(tmp_path, monkeypatch, capsys):

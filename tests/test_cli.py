@@ -244,6 +244,13 @@ def test_run_missing_graph_dir_is_config_error(tmp_path):
     assert code == 2
 
 
+def test_run_without_features_file_names_it(tmp_path, capsys):
+    graph = _generate(tmp_path)
+    (graph / "features.csv").unlink()
+    assert main(["run", "--graph", str(graph), "--out", str(tmp_path / "x")]) == 2
+    assert str(graph / "features.csv") in capsys.readouterr().err
+
+
 def test_run_malformed_edge_row_is_config_error(tmp_path):
     graph = _generate(tmp_path)
     with open(graph / "edges.csv", "a") as f:
@@ -300,6 +307,7 @@ def test_run_over_the_k_hop_limit_is_config_error(tmp_path, capsys, monkeypatch)
     ("run", ["--lambda-d", "inf"], "lambda_s and lambda_d must be >= 0"),
     ("run", ["--learning-rate", "inf"], "learning_rate must be positive, got inf"),
     ("run", ["--weight-decay", "inf"], "weight_decay must be >= 0, got inf"),
+    ("run", ["--hidden", "0"], "hidden must be >= 1"),
 ])
 def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, command, bad, message):
     graph = _generate(tmp_path)
@@ -472,6 +480,26 @@ def test_malformed_inputs_are_config_errors(tmp_path, capsys, source, payload, m
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["config", "report"])
+def test_unparsable_json_error_names_its_file(tmp_path, capsys, source):
+    out = tmp_path / "out"
+    if source == "config":
+        bad = tmp_path / "bad.json"
+        bad.write_text("{bad")
+        argv = ["run", "--graph", "g", "--out", str(out), "--config", str(bad)]
+        reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    else:
+        (tmp_path / "run_hcgst_0.json").write_text(json.dumps({"variant": "hcgst",
+                                                               "bin_report": _BIN_REPORT}))
+        bad = tmp_path / "run_x_1.json"
+        bad.write_text("nope")
+        argv = ["report", "--runs", str(tmp_path), "--out", str(out)]
+        reason = "Expecting value: line 1 column 1 (char 0)"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {reason}\n"
     assert not out.exists()
 
 

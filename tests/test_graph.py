@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -353,6 +354,12 @@ def test_partition_rejects_repeat_within_one_set():
         make_partition(60, [0, 0, 1, 2, 3, 4], [5, 6])
 
 
+def test_partition_from_plain_lists_is_int64():
+    part = make_partition(6, [4, 1], [])
+    for got, want in ((part.labeled, [4, 1]), (part.validation, []), (part.unlabeled, [0, 2, 3, 5])):
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
 def test_graph_dir_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     edges = [(int(a), int(b)) for a, b in rng.integers(0, 8, size=(14, 2))]
@@ -402,13 +409,14 @@ def test_load_header_only_is_edgeless_without_warning(tmp_path):
     assert g.n == 3 and g.n_edges == 0 and g.degrees.tolist() == [0, 0, 0]
 
 
-@pytest.mark.parametrize("edges_text, features_text", [("src,dst\n0,1\n", ""), ("src,dst\n", "\n\n")])
-def test_load_rejects_empty_features_by_name_without_warning(tmp_path, edges_text, features_text):
+@pytest.mark.parametrize("name", ["features.csv", "labels.csv"])
+@pytest.mark.parametrize("edges_text, text", [("src,dst\n0,1\n", ""), ("src,dst\n", "\n\n")])
+def test_load_rejects_empty_features_by_name_without_warning(tmp_path, edges_text, text, name):
     d = _edge_dir(tmp_path, edges_text)
-    (d / "features.csv").write_text(features_text)
+    (d / name).write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"features\.csv has no rows$"):
+        with pytest.raises(ValueError, match=rf"{re.escape(name)} has no rows$"):
             load_graph_dir(d)
 
 

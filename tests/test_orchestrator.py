@@ -120,6 +120,8 @@ def test_unknown_variant_rejected(small_graph):
     ("hop", 0, "n_bins and hop must be >= 1"),
     ("lambda_s", float("inf"), "lambda_s and lambda_d must be >= 0"),
     ("lambda_d", float("inf"), "lambda_s and lambda_d must be >= 0"),
+    ("hidden", 0, "hidden must be >= 1, got 0"),
+    ("hidden", -2, "hidden must be >= 1, got -2"),
 ])
 def test_run_config_rejects_out_of_range_fields(field, value, message):
     with pytest.raises(ValueError, match=message):

@@ -77,12 +77,14 @@ def verdict(base, change, bound: float) -> str:
 
 
 def gain(base, change) -> str:
-    """``met`` when the change wins at least 9 in 10 pairs (a lower value; ties count for
-    neither) and the base median minus the change median exceeds the base's q3 - q1;
-    else ``not met``."""
+    """``met`` when there are at least 10 pairs, the change wins at least 9 in 10 of them
+    (a lower value; ties count for neither) and the base median minus the change median
+    exceeds the base's q3 - q1; else ``not met``. Fewer pairs leave the base's quartiles
+    too close together to judge a gap by."""
     wins = sum(c < b for b, c in zip(base, change))
     q1, med, q3 = quartiles(base)
-    return "met" if 10 * wins >= 9 * len(base) and med - statistics.median(change) > q3 - q1 else "not met"
+    return "met" if (len(base) >= 10 and 10 * wins >= 9 * len(base)
+                     and med - statistics.median(change) > q3 - q1) else "not met"
 
 
 def summarize(pairs, bounds: dict) -> dict:
