@@ -275,8 +275,8 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     opts = _merge_options(args)
-    graph = load_graph_dir(opts["graph"])
-    reports = _execute_runs(graph, opts, _configs(opts))
+    configs = _configs(opts)  # every setting is checked before the graph is read
+    reports = _execute_runs(load_graph_dir(opts["graph"]), opts, configs)
     _write_run_outputs(Path(opts["out"]), reports)
     print(f"wrote {len(reports)} run reports to {opts['out']}")
     return 0
@@ -288,10 +288,10 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"unknown sweep param {args.param!r}; expected one of {sorted(SWEEP_GRIDS)}")
     values = ([float(v) for v in args.values.split(",")] if args.values is not None
               else SWEEP_GRIDS[args.param])
-    graph = load_graph_dir(opts["graph"])
-    per_value = [_configs(opts, **{args.param: value}) for value in values]
+    per_value = [_configs(opts, **{args.param: value}) for value in values]  # checked before the graph is read
     # one pool for every value's runs; the reports come back in config order
-    reports = _execute_runs(graph, opts, [cfg for configs in per_value for cfg in configs])
+    reports = _execute_runs(load_graph_dir(opts["graph"]), opts,
+                            [cfg for configs in per_value for cfg in configs])
     n = len(per_value[0])
     all_rows = []
     for i, value in enumerate(values):

@@ -15,21 +15,22 @@ import scipy.sparse as sp
 class Graph:
     """Undirected attributed graph with optional ground-truth labels.
 
-    Edges are stored once per unordered pair with the smaller endpoint first;
-    self-loops never appear. ``c`` is 0 when no labels are attached.
+    The adjacency is held once, as ``adj``: a ``bool`` CSR pattern with both
+    directions of every edge, sorted indices and no self-loops. There is no
+    edge list; ``save_graph_dir`` writes ``edges.csv`` from ``adj``'s upper
+    triangle. ``c`` is 0 when no labels are attached.
     """
 
     n: int
-    edges: np.ndarray               # (m, 2) int64, row[0] < row[1]
     features: np.ndarray            # (n, d) float64
     labels: np.ndarray | None       # (n,) int64 or None
     c: int
     d: int
-    adj: sp.csr_matrix = field(repr=False)  # binary, both directions, sorted indices
+    adj: sp.csr_matrix = field(repr=False)  # bool, both directions, sorted indices
 
     @property
     def n_edges(self) -> int:
-        return self.edges.shape[0]
+        return self.adj.nnz // 2
 
     @property
     def degrees(self) -> np.ndarray:
@@ -73,7 +74,7 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     key = np.sort(lo * n + hi)  # one sort key per pair, lo-major
-    edges = np.stack(divmod(key[np.diff(key, prepend=-1) != 0], n), axis=1)
+    lo, hi = divmod(key[np.diff(key, prepend=-1) != 0], n)
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
@@ -89,10 +90,10 @@ def build_graph(edge_pairs, features, labels=None, n_classes=None) -> Graph:
 
     # COO -> CSR is a stable counting sort by row: each row gets its lower
     # neighbours, then its upper ones, each run ascending.
-    rows = np.concatenate([edges[:, 1], edges[:, 0]])
-    cols = np.concatenate([edges[:, 0], edges[:, 1]])
-    adj = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
-    return Graph(n=n, edges=edges, features=features, labels=labels, c=c, d=d, adj=adj)
+    rows = np.concatenate([hi, lo])
+    cols = np.concatenate([lo, hi])
+    adj = sp.coo_matrix((np.ones(rows.size, dtype=bool), (rows, cols)), shape=(n, n)).tocsr()
+    return Graph(n=n, features=features, labels=labels, c=c, d=d, adj=adj)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,7 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
     """
     if k < 1:
         raise ValueError(f"hop count must be >= 1, got {k}")
-    power = adj = graph.adj.astype(bool)
+    power = graph.adj  # never written: setdiag acts on the product, and + I makes a new matrix
     if k > 1:
         walks = graph.degrees.astype(np.float64)
         for _ in range(k - 1):
@@ -152,11 +153,11 @@ def k_hop_adjacency(graph: Graph, k: int) -> AdjacencyView:
         if bound > KHOP_ENTRY_LIMIT:
             raise ValueError(f"hop {k} view may hold {bound:.3g} entries, over the limit of {KHOP_ENTRY_LIMIT:.3g}")
         for _ in range(k - 1):
-            power = power @ adj
+            power = power @ graph.adj
         power.setdiag(False)
         power.eliminate_zeros()
     with_loops = power + sp.identity(graph.n, dtype=bool, format="csr")
-    del adj, power  # only the pattern with self-loops is held while the float data is written
+    del power  # only the pattern with self-loops is held while the float data is written
     return AdjacencyView(n=graph.n, norm=_sym_normalize(with_loops))
 
 
@@ -228,9 +229,10 @@ def save_graph_dir(graph: Graph, path) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     # Plain joins write what csv.writer would: no field needs quoting.
+    upper = sp.triu(graph.adj, k=1, format="coo")  # CSR order: smaller endpoint first, lo-major, hi ascending
     with open(path / "edges.csv", "w", newline="\n") as f:
         f.write("src,dst\n")
-        f.writelines(f"{a},{b}\n" for a, b in graph.edges.tolist())
+        f.writelines(f"{a},{b}\n" for a, b in zip(upper.row.tolist(), upper.col.tolist()))
     with open(path / "features.csv", "w", newline="\n") as f:
         f.writelines(",".join(map(repr, row)) + "\n" for row in graph.features.tolist())
     if graph.labels is not None:

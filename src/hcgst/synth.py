@@ -32,12 +32,14 @@ class SynthConfig:
         self.target_histogram = np.asarray(self.target_histogram, dtype=np.float64)
         if not (np.all(self.target_histogram >= 0) and 0 < self.target_histogram.sum() < np.inf):
             raise ValueError("target_histogram must be finite and non-negative with positive sum")
+        if self.n < 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.classes < 1 or self.feature_dim < 1:
             raise ValueError(f"classes and feature_dim must be >= 1, got {self.classes} and {self.feature_dim}")
         if not self.mean_degree >= 0:
             raise ValueError(f"mean_degree must be >= 0, got {self.mean_degree}")
-        if not self.separation >= 0:
-            raise ValueError(f"separation must be >= 0, got {self.separation}")
+        if not 0 <= self.separation < np.inf:
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
         if not 0 <= self.cross_structure <= 1:
             raise ValueError("cross_structure must lie in [0, 1]")
 

@@ -85,7 +85,7 @@ def test_generate_rejects_bad_histogram(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, value", [("--mean-degree", "-2"), ("--classes", "0"),
                                          ("--feature-dim", "0"), ("--mean-degree", "nan"),
-                                         ("--separation", "nan")])
+                                         ("--separation", "nan"), ("--n", "0"), ("--separation", "inf")])
 def test_generate_rejects_impossible_sizes(tmp_path, capsys, flag, value):
     out = tmp_path / "x"
     assert main(["generate", "--n", "40", flag, value, "--out", str(out)]) == 2
@@ -316,6 +316,18 @@ def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, command, b
     assert main([command, "--graph", str(graph), "--out", str(out), *valid, *bad]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    ("run", ["--hidden", "0"], "error: hidden must be >= 1, got 0\n"),
+    ("run", ["--variant", "nope"], "error: unknown variant 'nope'; expected one of "),
+    ("sweep", ["--param", "lambda_s", "--values", "-1"], "error: lambda_s and lambda_d must be >= 0\n"),
+], ids=["hidden", "variant", "sweep-lambda_s"])
+def test_run_settings_are_checked_before_the_graph_is_read(tmp_path, capsys, command, bad, message):
+    out = tmp_path / "x"
+    assert main([command, "--graph", str(tmp_path / "nope"), "--out", str(out), *bad]) == 2
+    assert capsys.readouterr().err.startswith(message)
     assert not out.exists()
 
 

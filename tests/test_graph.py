@@ -26,10 +26,18 @@ def _row(adj, v):
     return adj.indices[adj.indptr[v]:adj.indptr[v + 1]]
 
 
+def _pairs(graph):
+    # the upper-triangle (lo, hi) pairs of graph.adj, lo-major, hi ascending: the order of edges.csv
+    adj = graph.adj
+    lo = np.repeat(np.arange(graph.n, dtype=np.int64), np.diff(adj.indptr))
+    upper = lo < adj.indices
+    return np.stack([lo[upper], adj.indices[upper].astype(np.int64)], axis=1)
+
+
 def test_build_dedup_and_self_loop():
     g = _graph([(0, 1), (1, 0), (2, 2)], n=3)
     assert g.n_edges == 1
-    assert g.edges.tolist() == [[0, 1]]
+    assert _pairs(g).tolist() == [[0, 1]]
 
 
 def test_build_empty_edge_list():
@@ -103,11 +111,11 @@ def test_neighbor_lists_match_append_loop(case):
     n, pairs = case
     g = _graph(pairs, n=n)
     want_edges = _reference_edges(pairs)
-    assert g.edges.dtype == want_edges.dtype and g.edges.flags.c_contiguous
-    assert np.array_equal(g.edges, want_edges)
-    ref = _reference_neighbor_lists(n, g.edges.tolist())
+    assert np.array_equal(_pairs(g), want_edges)
+    assert g.n_edges == len(want_edges)
+    ref = _reference_neighbor_lists(n, want_edges.tolist())
     assert g.adj.shape == (n, n) and g.adj.has_sorted_indices
-    want_adj = _lexsort_csr(n, g.edges)
+    want_adj = _lexsort_csr(n, want_edges)
     assert g.adj.indices.dtype == want_adj.indices.dtype and g.adj.indptr.dtype == want_adj.indptr.dtype
     for v, want in enumerate(ref):
         assert np.array_equal(_row(g.adj, v), want)
@@ -212,9 +220,10 @@ def test_k_hop_symmetry(k):
 def _reference_norm(graph, k):
     # the COO-built binary adjacency and normalisation k_hop_adjacency used before
     # the graph carried its own CSR
-    m = graph.edges.shape[0]
-    rows = np.concatenate([graph.edges[:, 0], graph.edges[:, 1]]) if m else np.empty(0, dtype=np.int64)
-    cols = np.concatenate([graph.edges[:, 1], graph.edges[:, 0]]) if m else np.empty(0, dtype=np.int64)
+    edges = _pairs(graph)
+    m = edges.shape[0]
+    rows = np.concatenate([edges[:, 0], edges[:, 1]]) if m else np.empty(0, dtype=np.int64)
+    cols = np.concatenate([edges[:, 1], edges[:, 0]]) if m else np.empty(0, dtype=np.int64)
     binary = sp.csr_matrix((np.ones(2 * m), (rows, cols)), shape=(graph.n, graph.n))
     power = binary
     for _ in range(k - 1):
@@ -247,6 +256,24 @@ def test_norm_arrays_match_coo_reference(k, n, seed, m):
     for attr in ("indptr", "indices", "data"):
         a, b = getattr(got, attr), getattr(want, attr)
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_adjacency_is_one_byte_per_entry(tmp_path):
+    g = generate_graph(SynthConfig(n=200, seed=3))
+    save_graph_dir(g, tmp_path / "g")
+    for graph in (g, load_graph_dir(tmp_path / "g"), _graph([], n=4)):
+        assert graph.adj.dtype == bool and graph.adj.data.nbytes == graph.adj.nnz
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_k_hop_leaves_graph_adj_unchanged(k):
+    g = generate_graph(SynthConfig(n=300, seed=k))
+    attrs = ("indptr", "indices", "data")
+    before = [getattr(g.adj, a).copy() for a in attrs]
+    k_hop_adjacency(g, k)
+    for a, want in zip(attrs, before):
+        got = getattr(g.adj, a)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("k, ratio", [
@@ -367,7 +394,7 @@ def test_graph_dir_round_trip(tmp_path):
     save_graph_dir(g, tmp_path / "g")
     loaded = load_graph_dir(tmp_path / "g")
     assert loaded.n == g.n
-    assert np.array_equal(loaded.edges, g.edges)
+    assert np.array_equal(_pairs(loaded), _pairs(g))
     assert np.array_equal(loaded.labels, g.labels)
     assert np.allclose(loaded.features, g.features)
 
@@ -378,7 +405,7 @@ def test_load_symmetrizes_directed_input(tmp_path):
     (d / "edges.csv").write_text("src,dst\n0,1\n1,0\n2,1\n")
     (d / "features.csv").write_text("0.0,1.0\n1.0,0.0\n0.5,0.5\n")
     g = load_graph_dir(d)
-    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert _pairs(g).tolist() == [[0, 1], [1, 2]]
     assert g.labels is None
 
 
@@ -392,7 +419,7 @@ def _edge_dir(tmp_path, edges_text):
 
 def test_load_skips_blank_lines_and_extra_columns(tmp_path):
     g = load_graph_dir(_edge_dir(tmp_path, "src,dst\n\n0,1,0.5\n\n1,2,7,x\n"))
-    assert g.edges.tolist() == [[0, 1], [1, 2]]
+    assert _pairs(g).tolist() == [[0, 1], [1, 2]]
 
 
 @pytest.mark.parametrize("row", ["0,x", "1", "0.5,1"])
@@ -435,7 +462,7 @@ def _csv_writer_reference(graph, path):
     with open(path / "edges.csv", "w", newline="\n") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(["src", "dst"])
-        for a, b in graph.edges:
+        for a, b in _pairs(graph):
             w.writerow([int(a), int(b)])
     with open(path / "features.csv", "w", newline="\n") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -454,9 +481,7 @@ def test_save_graph_dir_bytes_match_csv_writer(tmp_path):
     # build_graph rejects non-finite features, so they are swapped in afterwards
     g = dataclasses.replace(build_graph([(0, 1), (2, 3), (1, 3)], np.zeros((4, 4)), [0, 1, 2, 1]),
                             features=awkward.reshape(4, 4))
-    big_ids = dataclasses.replace(g, edges=np.array([[0, 2**31 + 3], [2**40, 2**62]], dtype=np.int64))
-    for i, graph in enumerate((g, big_ids)):
-        save_graph_dir(graph, tmp_path / f"new{i}")
-        _csv_writer_reference(graph, tmp_path / f"ref{i}")
-        for name in ("edges.csv", "features.csv", "labels.csv"):
-            assert (tmp_path / f"new{i}" / name).read_bytes() == (tmp_path / f"ref{i}" / name).read_bytes()
+    save_graph_dir(g, tmp_path / "new")
+    _csv_writer_reference(g, tmp_path / "ref")
+    for name in ("edges.csv", "features.csv", "labels.csv"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()

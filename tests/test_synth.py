@@ -8,6 +8,7 @@ from hcgst.graph import build_graph, graph_homophily, true_homophily_profile
 from hcgst.homophily import bin_distribution, bin_index
 from hcgst.metrics import kl_divergence
 from hcgst.synth import SynthConfig, generate_graph, sample_training_set
+from test_graph import _pairs
 
 BROAD = np.array([1.5, 1.5, 1.25, 1.25, 1.0, 1.0, 0.75, 0.75, 0.5, 0.5])
 ACCEPTANCE_FIXTURE = SynthConfig(n=500, classes=4, feature_dim=16, mean_degree=8,
@@ -26,15 +27,16 @@ def test_generation_deterministic():
                       target_histogram=np.ones(10), seed=11)
     a = generate_graph(cfg)
     b = generate_graph(cfg)
-    assert np.array_equal(a.edges, b.edges)
+    assert np.array_equal(_pairs(a), _pairs(b))
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.features, b.features)
 
 
 def test_generated_graph_satisfies_invariants():
     g = _broad_graph()
-    assert np.all(g.edges[:, 0] < g.edges[:, 1])
-    assert len(np.unique(g.edges, axis=0)) == g.n_edges
+    pairs = _pairs(g)
+    assert not g.adj.diagonal().any() and (g.adj != g.adj.T).nnz == 0
+    assert len(np.unique(pairs, axis=0)) == len(pairs) == g.n_edges
     assert g.labels.min() >= 0 and g.labels.max() < g.c
     assert abs(np.mean(g.degrees) - 8) < 1.5
 
@@ -86,7 +88,8 @@ def test_config_rejects_bad_histogram():
 @pytest.mark.parametrize("field, value", [("mean_degree", -2.0), ("classes", 0), ("feature_dim", 0),
                                           ("separation", -0.5), ("cross_structure", -0.1),
                                           ("cross_structure", 1.5), ("mean_degree", float("nan")),
-                                          ("separation", float("nan"))])
+                                          ("separation", float("nan")), ("n", 0), ("n", -5),
+                                          ("separation", float("inf"))])
 def test_config_rejects_impossible_sizes(field, value):
     with pytest.raises(ValueError, match=field):
         SynthConfig(**{field: value})
@@ -132,7 +135,7 @@ def test_sample_rejects_unknown_mode():
 
 def test_sample_rejects_unlabelled_graph():
     g = _broad_graph()
-    unlabelled = build_graph(g.edges, g.features)
+    unlabelled = build_graph(_pairs(g), g.features)
     with pytest.raises(ValueError, match="needs ground-truth labels"):
         sample_training_set(unlabelled, 0.05, "representative", 10, seed=0)
 
@@ -247,6 +250,6 @@ EXACTNESS_CONFIGS = (
 def test_generation_matches_per_draw_choice_reference(cfg):
     g = generate_graph(cfg)
     ref = _reference_generate(cfg)
-    assert np.array_equal(g.edges, ref.edges)
+    assert np.array_equal(_pairs(g), _pairs(ref))
     assert np.array_equal(g.labels, ref.labels)
     assert np.array_equal(g.features, ref.features)
